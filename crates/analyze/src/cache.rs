@@ -18,7 +18,7 @@ use crate::facts::FileFacts;
 /// Bump on any change to fact extraction or rule semantics: stale facts
 /// from an older analyzer must not satisfy a newer scan. Also part of the
 /// CI cache key.
-pub const RULES_VERSION: &str = "2026-08-07.r9";
+pub const RULES_VERSION: &str = "2026-10-17.r9";
 
 /// The persisted cache: `path → (content hash, facts)`.
 #[derive(Debug, Default)]

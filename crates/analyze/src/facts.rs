@@ -99,7 +99,7 @@ pub struct RegistryFact {
 /// Everything the analyzer knows about one file in isolation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FileFacts {
-    /// Local findings: R1–R6 plus malformed-directive denials.
+    /// Local findings: R1–R4 plus malformed-directive denials.
     pub violations: Vec<Violation>,
     /// `Rng64::stream` call sites (R7).
     pub stream_sites: Vec<StreamSite>,

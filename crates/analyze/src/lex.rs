@@ -1,7 +1,7 @@
 //! A lightweight Rust lexer producing a token stream with *values*.
 //!
 //! [`crate::mask`] deliberately blanks comments and string literals so the
-//! token-matching rules (R1–R6) cannot be fooled by prose. The structural
+//! token-matching rules (R1–R4) cannot be fooled by prose. The structural
 //! rules added in PR 7 need the opposite: R7 resolves call-site argument
 //! expressions, R8 reads telemetry *name literals*, and the suppression /
 //! steady-state directives live inside comments. This module lexes the

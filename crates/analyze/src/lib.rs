@@ -17,8 +17,7 @@
 //! - **R2** float total-order: `partial_cmp(..).unwrap()` → `total_cmp`;
 //! - **R3** determinism: no hash containers, thread RNGs, or wall-clock
 //!   reads in the localization/sim crates;
-//! - **R4** `unsafe` ban plus the lint wall in every crate root;
-//! - **R5**/**R6** removed/deprecated-API ratchets.
+//! - **R4** `unsafe` ban plus the lint wall in every crate root.
 //!
 //! **Structural rules** over a real token stream ([`lex`] → [`syntax`] →
 //! per-file [`facts`], joined across files by [`crossfile`]):

@@ -8,8 +8,6 @@
 //! | `R2` | deny | whole workspace | float total-order: no `partial_cmp(..).unwrap()/expect()` — use `total_cmp` |
 //! | `R3` | deny | hot-path crates | determinism: no hash containers, `thread_rng`, or wall-clock reads outside `raceloc-obs` |
 //! | `R4` | deny | whole workspace | `unsafe` ban + lint wall (`#![forbid(unsafe_code)]`, `#![deny(missing_docs)]`) in crate roots |
-//! | `R5` | deny | whole workspace | removed-API ratchet: the `cast_batch` shim is gone for good; the token must not reappear |
-//! | `R6` | deny | whole workspace | deprecated-API ratchet: the owning `with_owned_map` constructors live only in `compat.rs` shims; new uses are banned |
 
 use crate::mask::MaskedFile;
 
@@ -39,9 +37,7 @@ pub enum Severity {
 
 /// Every rule identifier the analyzer can emit, used to re-intern rule
 /// names read back from the incremental-scan cache ([`crate::cache`]).
-pub const ALL_RULES: [&str; 11] = [
-    "R1", "R1-idx", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "allow",
-];
+pub const ALL_RULES: [&str; 9] = ["R1", "R1-idx", "R2", "R3", "R4", "R7", "R8", "R9", "allow"];
 
 /// Maps a rule name to its canonical `&'static str` (cache entries store
 /// plain strings). Unknown names — a cache written by a different rules
@@ -62,7 +58,8 @@ pub struct Violation {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule identifier (`R1`, `R1-idx`, `R2`, `R3`, `R4`, `R5`, `R6`).
+    /// Rule identifier (`R1`, `R1-idx`, `R2`, `R3`, `R4`, `R7`, `R8`, `R9`,
+    /// `allow`).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -246,41 +243,6 @@ pub fn scan_file(path: &str, masked: &MaskedFile) -> Vec<Violation> {
                 severity: Severity::Deny,
             });
         }
-
-        // R5: removed-API ratchet. The deprecated `cast_batch` shim has
-        // been deleted; the token must never reappear anywhere — not even
-        // in `crates/range/src/batch.rs`, which used to host it. (String
-        // literals, comments, and `#[cfg(test)]` code are already masked.)
-        for _ in token_positions(line, "cast_batch") {
-            out.push(Violation {
-                file: path.to_string(),
-                line: lineno,
-                rule: "R5",
-                message: "the removed `cast_batch` shim must not come back; \
-                          use `RangeMethod::par_ranges_into`"
-                    .to_string(),
-                severity: Severity::Deny,
-            });
-        }
-
-        // R6: deprecated-API ratchet. The owning `with_owned_map`
-        // constructors are frozen inside the `compat.rs` shim modules;
-        // everything else builds localizers over a shared artifact bundle
-        // (`ArtifactStore::get_or_build` + `from_artifacts`). New uses —
-        // or new definitions outside a shim module — must not appear.
-        if !path.ends_with("/compat.rs") {
-            for _ in token_positions(line, "with_owned_map") {
-                out.push(Violation {
-                    file: path.to_string(),
-                    line: lineno,
-                    rule: "R6",
-                    message: "the deprecated `with_owned_map` shim is frozen in `compat.rs`; \
-                              use `ArtifactStore::get_or_build` + `from_artifacts` instead"
-                        .to_string(),
-                    severity: Severity::Deny,
-                });
-            }
-        }
     }
 
     // R4 (part 2): lint wall in crate roots. Matched on masked text so a
@@ -419,63 +381,6 @@ mod tests {
         // A doc-comment mention is not a lint wall.
         let fake = "//! has #![forbid(unsafe_code)] and #![deny(missing_docs)] in docs\n";
         assert_eq!(scan("crates/map/src/lib.rs", fake).len(), 2);
-    }
-
-    #[test]
-    fn r5_flags_the_removed_shim_token_everywhere() {
-        let vs = scan(
-            "crates/bench/src/bin/latency.rs",
-            "cast_batch(&m, &q, &mut o, 4);\n",
-        );
-        assert_eq!(rules_of(&vs), ["R5"]);
-        // Gone for good: even its former home may not reintroduce it, as a
-        // call or as a definition.
-        assert_eq!(
-            rules_of(&scan(
-                "crates/range/src/batch.rs",
-                "pub fn cast_batch() {}\n"
-            )),
-            ["R5"]
-        );
-        // But only as a standalone token — and never in masked positions.
-        assert!(scan("crates/range/src/lut.rs", "chunked_cast_batched(q);\n").is_empty());
-        assert!(scan(
-            "crates/range/src/lut.rs",
-            "// cast_batch used to live here\nlet s = \"cast_batch\";\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn r6_flags_the_deprecated_shim_outside_compat_modules() {
-        let vs = scan(
-            "crates/bench/src/faults.rs",
-            "let pf = SynPf::with_owned_map(&grid, config);\n",
-        );
-        assert_eq!(rules_of(&vs), ["R6"]);
-        assert_eq!(vs[0].severity, Severity::Deny);
-        // A new definition outside a shim module is just as banned.
-        assert_eq!(
-            rules_of(&scan(
-                "crates/pf/src/filter.rs",
-                "pub fn with_owned_map() {}\n"
-            )),
-            ["R6"]
-        );
-    }
-
-    #[test]
-    fn r6_allows_the_shim_inside_compat_modules_only() {
-        // The frozen shims themselves live in compat.rs and stay legal.
-        assert!(scan("crates/pf/src/compat.rs", "pub fn with_owned_map() {}\n").is_empty());
-        assert!(scan("crates/slam/src/compat.rs", "pub fn with_owned_map() {}\n").is_empty());
-        // Only as a standalone token, and never in masked positions.
-        assert!(scan("crates/pf/src/filter.rs", "let x = with_owned_mapping;\n").is_empty());
-        assert!(scan(
-            "crates/pf/src/filter.rs",
-            "// with_owned_map is deprecated\nlet s = \"with_owned_map\";\n"
-        )
-        .is_empty());
     }
 
     #[test]

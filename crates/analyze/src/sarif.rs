@@ -10,7 +10,7 @@ use crate::rules::{Severity, Violation};
 
 /// Rule metadata shown in SARIF viewers. Keep in sync with
 /// [`crate::rules::ALL_RULES`] and DESIGN.md §10.
-const RULE_HELP: [(&str, &str); 11] = [
+const RULE_HELP: [(&str, &str); 9] = [
     ("R1", "panic-freedom in hot-path crates"),
     ("R1-idx", "direct slice indexing audit (advisory)"),
     ("R2", "float total-order: no partial_cmp().unwrap()"),
@@ -19,11 +19,6 @@ const RULE_HELP: [(&str, &str); 11] = [
         "determinism: no hash containers, thread RNGs, or wall-clock reads",
     ),
     ("R4", "unsafe ban and crate-root lint wall"),
-    ("R5", "removed-API ratchet: cast_batch must not reappear"),
-    (
-        "R6",
-        "deprecated-API ratchet: with_owned_map only in compat shims",
-    ),
     (
         "R7",
         "RNG stream keys must come from the stream_keys registry",

@@ -6,7 +6,7 @@
 //! three shapes the R7/R8/R9 rules and the suppression machinery consume,
 //! with delimiter balancing where nesting matters, and it degrades
 //! gracefully on source it does not understand (an unrecognized region
-//! simply contributes no facts — the token-level rules R1–R6 still see
+//! simply contributes no facts — the token-level rules R1–R4 still see
 //! every line through [`crate::mask`]).
 
 use crate::lex::{Comment, Lexed, Token, TokenKind};

@@ -9,8 +9,10 @@ const SKIP_DIRS: [&str; 4] = ["target", "third_party", ".git", "node_modules"];
 
 /// Workspace-relative directories never scanned: the analyzer's fixture
 /// corpus is deliberately full of known-bad snippets and must not trip
-/// the self-scan (the fixture table test reads those files itself).
-const SKIP_RELATIVE: [&str; 1] = ["crates/analyze/tests/fixtures"];
+/// the self-scan (the fixture table test reads those files itself), and
+/// `perfbench` is a separate cargo workspace whose metric-name literals
+/// are report keys, not telemetry names.
+const SKIP_RELATIVE: [&str; 2] = ["crates/analyze/tests/fixtures", "perfbench"];
 
 /// Collects every workspace-owned `.rs` file under `root`, returned as
 /// `(relative_path, contents)` with `/`-separated relative paths, sorted
@@ -95,6 +97,7 @@ mod tests {
                 .any(|p| p.starts_with("crates/analyze/tests/fixtures/")),
             "the known-bad fixture corpus must not reach the self-scan"
         );
+        assert!(!paths.iter().any(|p| p.starts_with("perfbench/")));
         // Sorted and unique.
         let mut sorted = paths.clone();
         sorted.sort();

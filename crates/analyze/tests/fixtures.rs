@@ -86,10 +86,6 @@ fn fixture_table_covers_every_rule() {
         // The lint wall is required in crate roots: a clean non-root file
         // scanned *as* a root without the wall is an R4 finding.
         ("r1_clean.rs", "crates/pf/src/lib.rs", "R4", true),
-        ("r5_bad.rs", HOT, "R5", true),
-        ("r5_clean.rs", HOT, "R5", false),
-        ("r6_bad.rs", HOT, "R6", true),
-        ("r6_clean.rs", HOT, "R6", false),
         ("r7_bad.rs", HOT, "R7", true),
         ("r7_clean.rs", HOT, "R7", false),
         (
@@ -139,8 +135,6 @@ fn clean_fixtures_are_clean_of_every_deny_rule() {
         "r2_clean.rs",
         "r3_clean.rs",
         "r4_clean.rs",
-        "r5_clean.rs",
-        "r6_clean.rs",
         "r7_clean.rs",
         "r7_registry_clean.rs",
         "r8_clean.rs",

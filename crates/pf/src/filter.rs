@@ -9,14 +9,14 @@ use crate::layout::ScanLayout;
 use crate::motion::{DiffDriveModel, TumMotionModel};
 use crate::parstep::{cast_weight_kernel, motion_kernel, JobKind, PfShared, StepJob};
 use crate::resample::{effective_sample_size, normalize, systematic_indices_into};
-use crate::sensor::{BeamModelConfig, BeamSensorModel, LikelihoodField, LikelihoodFieldConfig};
+use crate::sensor::{BeamModelConfig, BeamSensorModel};
 use crate::store::ParticleStore;
 use raceloc_core::localizer::Localizer;
 use raceloc_core::sensor_data::{LaserScan, Odometry};
 use raceloc_core::{
     stream_keys, DeadlineController, Diagnostics, Health, HealthSignal, Pose2, Rng64, StepPlan,
 };
-use raceloc_map::{CellState, OccupancyGrid};
+use raceloc_map::{CellState, GridIndex, OccupancyGrid};
 use raceloc_obs::Telemetry;
 use raceloc_par::{chunk_count, chunk_spans, PoolJob, WorkerPool, DEFAULT_CHUNK_MIN};
 use raceloc_range::{MapArtifacts, RangeMethod};
@@ -179,9 +179,6 @@ pub struct SynPf<M: RangeMethod> {
     rng: Rng64,
     last_odom: Option<Odometry>,
     estimate: Pose2,
-    /// Optional endpoint (likelihood-field) sensor model; when present it
-    /// replaces the beam model + range queries in `correct`.
-    likelihood_field: Option<LikelihoodField>,
     /// Map to draw random recovery poses from (augmented MCL).
     recovery_map: Option<OccupancyGrid>,
     /// Long-term mean-likelihood EMA (augmented MCL).
@@ -252,6 +249,26 @@ const RUNG_COUNTERS: [&str; raceloc_core::deadline::LADDER_LEN] = [
     "deadline.rung5",
 ];
 
+/// The free cells of `grid`, in grid iteration order.
+fn free_cells(grid: &OccupancyGrid) -> Vec<GridIndex> {
+    grid.iter()
+        .filter(|(_, s)| *s == CellState::Free)
+        .map(|(idx, _)| idx)
+        .collect()
+}
+
+/// Draws one pose uniformly over free space: a random free cell, a
+/// uniform jitter within it, and a uniform heading — in that RNG order.
+fn draw_free_pose(grid: &OccupancyGrid, free: &[GridIndex], rng: &mut Rng64) -> Pose2 {
+    let c = grid.index_to_world(free[rng.uniform_usize(free.len())]);
+    let jitter = grid.resolution() * 0.5;
+    Pose2::new(
+        c.x + rng.uniform_range(-jitter, jitter),
+        c.y + rng.uniform_range(-jitter, jitter),
+        rng.uniform_range(-std::f64::consts::PI, std::f64::consts::PI),
+    )
+}
+
 impl SynPf<Arc<MapArtifacts>> {
     /// Creates a filter over a shared [`MapArtifacts`] bundle — the
     /// service-oriented constructor: N filters on one track share a single
@@ -320,7 +337,6 @@ impl<M: RangeMethod + 'static> SynPf<M> {
             rng,
             last_odom: None,
             estimate: Pose2::IDENTITY,
-            likelihood_field: None,
             recovery_map: None,
             w_slow: 0.0,
             w_fast: 0.0,
@@ -422,14 +438,10 @@ impl<M: RangeMethod + 'static> SynPf<M> {
         if fraction <= 0.0 {
             return;
         }
-        let Some(grid) = self.recovery_map.clone() else {
+        let Some(grid) = &self.recovery_map else {
             return;
         };
-        let free: Vec<_> = grid
-            .iter()
-            .filter(|(_, s)| *s == CellState::Free)
-            .map(|(idx, _)| idx)
-            .collect();
+        let free = free_cells(grid);
         if free.is_empty() {
             return;
         }
@@ -437,15 +449,7 @@ impl<M: RangeMethod + 'static> SynPf<M> {
         let count = ((n as f64 * fraction).round() as usize).min(n);
         for _ in 0..count {
             let slot = self.rng.uniform_usize(n);
-            let idx = free[self.rng.uniform_usize(free.len())];
-            let c = grid.index_to_world(idx);
-            let jitter = grid.resolution() * 0.5;
-            let pose = Pose2::new(
-                c.x + self.rng.uniform_range(-jitter, jitter),
-                c.y + self.rng.uniform_range(-jitter, jitter),
-                self.rng
-                    .uniform_range(-std::f64::consts::PI, std::f64::consts::PI),
-            );
+            let pose = draw_free_pose(grid, &free, &mut self.rng);
             self.store.set_pose(slot, pose);
         }
     }
@@ -476,28 +480,6 @@ impl<M: RangeMethod + 'static> SynPf<M> {
         (vx, vy, 1.0 - r)
     }
 
-    /// Creates a filter that scores particles with the *likelihood-field*
-    /// (endpoint) sensor model instead of the beam model: beam endpoints
-    /// are compared against a Euclidean distance field of the map, with no
-    /// ray casting at all — AMCL's default model, cheaper but blind to
-    /// occlusion. The range oracle is kept only for its `max_range`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`SynPf::new`] and
-    /// [`LikelihoodField::new`].
-    pub fn with_likelihood_field(
-        caster: M,
-        grid: &OccupancyGrid,
-        lf_config: LikelihoodFieldConfig,
-        config: SynPfConfig,
-    ) -> Self {
-        let lf = LikelihoodField::new(grid, lf_config, caster.max_range());
-        let mut pf = Self::new(caster, config);
-        pf.likelihood_field = Some(lf);
-        pf
-    }
-
     /// The configuration.
     pub fn config(&self) -> &SynPfConfig {
         &self.config
@@ -523,24 +505,12 @@ impl<M: RangeMethod + 'static> SynPf<M> {
     /// Scatters particles uniformly over the free cells of a grid (global
     /// localization / kidnapped-robot initialization).
     pub fn global_init(&mut self, grid: &OccupancyGrid) {
-        let free: Vec<_> = grid
-            .iter()
-            .filter(|(_, s)| *s == CellState::Free)
-            .map(|(idx, _)| idx)
-            .collect();
+        let free = free_cells(grid);
         if free.is_empty() {
             return;
         }
         for i in 0..self.store.len() {
-            let idx = free[self.rng.uniform_usize(free.len())];
-            let c = grid.index_to_world(idx);
-            let jitter = grid.resolution() * 0.5;
-            let pose = Pose2::new(
-                c.x + self.rng.uniform_range(-jitter, jitter),
-                c.y + self.rng.uniform_range(-jitter, jitter),
-                self.rng
-                    .uniform_range(-std::f64::consts::PI, std::f64::consts::PI),
-            );
+            let pose = draw_free_pose(grid, &free, &mut self.rng);
             self.store.set_pose(i, pose);
         }
         let u = 1.0 / self.store.len() as f64;
@@ -709,7 +679,7 @@ impl<M: RangeMethod + 'static> SynPf<M> {
     fn finish_correction(
         &mut self,
         motion_seconds: f64,
-        raycast_seconds: Option<f64>,
+        raycast_seconds: f64,
         sensor_seconds: f64,
         resample_seconds: f64,
         correct_started: Stopwatch,
@@ -732,10 +702,9 @@ impl<M: RangeMethod + 'static> SynPf<M> {
         self.last_stages.clear();
         self.last_stages
             .push((Cow::Borrowed("motion"), motion_seconds));
-        if let Some(raycast) = raycast_seconds {
-            self.tel.record_span("pf.raycast", raycast);
-            self.last_stages.push((Cow::Borrowed("raycast"), raycast));
-        }
+        self.last_stages
+            .push((Cow::Borrowed("raycast"), raycast_seconds));
+        self.tel.record_span("pf.raycast", raycast_seconds);
         self.tel.record_span("pf.sensor", sensor_seconds);
         self.tel.record_span("pf.resample", resample_seconds);
         self.tel
@@ -870,13 +839,14 @@ impl<M: RangeMethod + 'static> SynPf<M> {
         let signal = self.detector_signal(policy, mean_lw, mean_lik);
         let state = self.health_monitor.observe(signal);
         if state == Health::Lost && policy.auto_reinit {
-            let Some(grid) = self.recovery_map.clone() else {
+            let Some(grid) = self.recovery_map.take() else {
                 return;
             };
             // Uniform reseed over free space: the same machinery as
             // kidnapped-robot initialization, plus a detector holdoff and
             // fresh likelihood statistics for the new cloud.
             self.global_init(&grid);
+            self.recovery_map = Some(grid);
             self.health_monitor.notify_reinit();
             // The ladder mirrors the health holdoff: no climbing into an
             // expensive rung while the re-scattered cloud re-converges.
@@ -1021,68 +991,6 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
         // cloud) only feed augmented-MCL recovery and the health detectors;
         // skip them entirely when neither is configured.
         let need_stats = self.config.recovery.is_some() || self.config.health.is_some();
-        // Borrow the cached selection and log-weight scratch out of `self`
-        // for the duration of the scoring pass; both are restored below.
-        let beams = std::mem::take(&mut self.beam_sel);
-        let mut log_w = std::mem::take(&mut self.log_w);
-        // Endpoint model: no range queries, score endpoints against the
-        // distance field.
-        if let Some(lf) = &self.likelihood_field {
-            let sensor_started = Stopwatch::start();
-            log_w.clear();
-            log_w.resize(n, 0.0);
-            let cutoff = scan.max_range - 1e-9;
-            for (i, p) in self.store.iter().enumerate() {
-                let sensor_pose = p * self.config.lidar_mount;
-                let mut acc = 0.0;
-                // Deadline beam stride: uniform decimation of the selected
-                // fan (1 without a plan).
-                for &b in beams.iter().step_by(stride) {
-                    let r = scan.ranges[b];
-                    if r <= 0.0 || r >= cutoff {
-                        continue;
-                    }
-                    let a = sensor_pose.theta + scan.angle_of(b);
-                    let endpoint = raceloc_core::Point2::new(
-                        sensor_pose.x + r * a.cos(),
-                        sensor_pose.y + r * a.sin(),
-                    );
-                    acc += lf.log_prob_point(endpoint);
-                }
-                log_w[i] = acc / self.config.squash;
-            }
-            let max_lw = log_w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            for (w, lw) in self.weights.iter_mut().zip(&log_w) {
-                *w *= (lw - max_lw).exp();
-            }
-            let (mean_lik, mean_lw) = if need_stats {
-                (
-                    log_w.iter().map(|lw| lw.exp()).sum::<f64>() / log_w.len().max(1) as f64,
-                    log_w.iter().sum::<f64>() / log_w.len().max(1) as f64,
-                )
-            } else {
-                (0.0, 0.0)
-            };
-            self.beam_sel = beams;
-            self.log_w = log_w;
-            let inject = self.update_recovery(mean_lik);
-            normalize(&mut self.weights);
-            self.estimate = self.expected_pose();
-            self.update_health(mean_lw, mean_lik);
-            let sensor_seconds = sensor_started.elapsed_seconds();
-            let resample_started = Stopwatch::start();
-            self.resample_if_needed();
-            self.inject_random_particles(inject);
-            let resample_seconds = resample_started.elapsed_seconds();
-            self.finish_correction(
-                motion_seconds,
-                None,
-                sensor_seconds,
-                resample_seconds,
-                correct_started,
-            );
-            return self.estimate;
-        }
         // Beam model, fused cast + weight kernel (DESIGN.md §11): for each
         // particle the kernel casts the beam fan straight to quantized
         // expected-range bins and sums u16 sensor-model codes in integer
@@ -1104,7 +1012,7 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
         self.beam_rows.clear();
         let sensor = &self.shared.sensor;
         self.beam_bearings.extend(
-            beams
+            self.beam_sel
                 .iter()
                 .step_by(stride)
                 .filter(|&&b| scan.ranges[b].is_finite())
@@ -1117,7 +1025,7 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
                 }),
         );
         self.beam_rows.extend(
-            beams
+            self.beam_sel
                 .iter()
                 .step_by(stride)
                 .map(|&b| scan.ranges[b])
@@ -1126,8 +1034,8 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
         );
         let k_finite = self.beam_bearings.len();
         let raycast_started = Stopwatch::start();
-        log_w.clear();
-        log_w.resize(n, 0.0);
+        self.log_w.clear();
+        self.log_w.resize(n, 0.0);
         if self.config.threads > 1 {
             let chunks = chunk_count(n, self.config.chunk_min);
             self.prepare_jobs(chunks);
@@ -1147,7 +1055,7 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
                 if job.kind != JobKind::CastWeight {
                     continue;
                 }
-                log_w[job.start..job.start + job.log_w.len()].copy_from_slice(&job.log_w);
+                self.log_w[job.start..job.start + job.log_w.len()].copy_from_slice(&job.log_w);
             }
         } else {
             // Inline path: one kernel call over the whole store — per
@@ -1166,7 +1074,7 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
                 &self.store.cos,
                 &self.store.sin,
                 &mut self.ebins,
-                &mut log_w,
+                &mut self.log_w,
             );
         }
         // Same telemetry contract as the unfused pipeline: the query count
@@ -1176,8 +1084,9 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
         let raycast_seconds = raycast_started.elapsed_seconds();
         // Weight reduction over the scattered per-particle log-likelihoods.
         let sensor_started = Stopwatch::start();
+        let log_w = &self.log_w;
         let max_lw = log_w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        for (w, lw) in self.weights.iter_mut().zip(&log_w) {
+        for (w, lw) in self.weights.iter_mut().zip(log_w) {
             *w *= (lw - max_lw).exp();
         }
         let (mean_lik, mean_lw) = if need_stats {
@@ -1188,8 +1097,6 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
         } else {
             (0.0, 0.0)
         };
-        self.beam_sel = beams;
-        self.log_w = log_w;
         let inject = self.update_recovery(mean_lik);
         normalize(&mut self.weights);
         self.estimate = self.expected_pose();
@@ -1201,7 +1108,7 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
         let resample_seconds = resample_started.elapsed_seconds();
         self.finish_correction(
             motion_seconds,
-            Some(raycast_seconds),
+            raycast_seconds,
             sensor_seconds,
             resample_seconds,
             correct_started,
@@ -1289,7 +1196,6 @@ impl<M: RangeMethod + 'static> Clone for SynPf<M> {
             rng: self.rng.clone(),
             last_odom: self.last_odom,
             estimate: self.estimate,
-            likelihood_field: self.likelihood_field.clone(),
             recovery_map: self.recovery_map.clone(),
             w_slow: self.w_slow,
             w_fast: self.w_fast,
@@ -1653,7 +1559,6 @@ mod tests {
 mod extension_tests {
     use super::*;
     use crate::kld::KldConfig;
-    use crate::sensor::LikelihoodFieldConfig;
     use raceloc_core::Twist2;
     use raceloc_map::{Track, TrackShape, TrackSpec};
     use raceloc_range::RayMarching;
@@ -1724,53 +1629,6 @@ mod extension_tests {
         assert_eq!(pf.weights().len(), pf.particles().len());
         let sum: f64 = pf.weights().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn likelihood_field_variant_localizes() {
-        let t = track();
-        let caster = RayMarching::new(&t.grid, 10.0);
-        let mut pf = SynPf::with_likelihood_field(
-            caster,
-            &t.grid,
-            LikelihoodFieldConfig::default(),
-            SynPfConfig {
-                particles: 600,
-                ..SynPfConfig::default()
-            },
-        );
-        let truth = t.start_pose();
-        pf.reset(Pose2::new(truth.x + 0.2, truth.y - 0.1, truth.theta + 0.05));
-        let scan = scan_from(&t, truth, pf.config().lidar_mount);
-        let mut est = pf.pose();
-        for _ in 0..8 {
-            est = pf.correct(&scan);
-        }
-        assert!(est.dist(truth) < 0.2, "LF estimate {est} vs truth {truth}");
-    }
-
-    #[test]
-    fn likelihood_field_is_deterministic_too() {
-        let t = track();
-        let run = || {
-            let caster = RayMarching::new(&t.grid, 10.0);
-            let mut pf = SynPf::with_likelihood_field(
-                caster,
-                &t.grid,
-                LikelihoodFieldConfig::default(),
-                SynPfConfig {
-                    particles: 200,
-                    ..SynPfConfig::default()
-                },
-            );
-            pf.reset(t.start_pose());
-            let scan = scan_from(&t, t.start_pose(), pf.config().lidar_mount);
-            for _ in 0..3 {
-                pf.correct(&scan);
-            }
-            pf.pose().to_array()
-        };
-        assert_eq!(run(), run());
     }
 }
 

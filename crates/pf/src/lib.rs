@@ -41,7 +41,6 @@
 //! assert_eq!(pf.name(), "synpf");
 //! ```
 
-mod compat;
 pub mod config;
 pub mod filter;
 pub mod health;

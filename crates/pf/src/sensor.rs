@@ -43,16 +43,13 @@ impl Default for BeamModelConfig {
 
 /// The discretized beam sensor model.
 ///
-/// Two tables are built from the same mixture densities:
-///
-/// - the f32 `table` (expected-major), the original evaluator behind
-///   [`BeamSensorModel::log_prob`] — retained as the test oracle;
-/// - the u16 `qtable` (measured-major), the canonical hot path: each entry
-///   stores `round(log p / qscale)` with `qscale = ln(1e-12) / 65535`, so a
-///   particle's beam log-likelihoods can be *summed as integers* and
-///   converted to a float once per particle. Integer addition is exact and
-///   order-free, which is what makes the fused kernel bitwise identical
-///   across thread counts without prescribing a float summation order.
+/// The mixture densities are discretized once into a u16 table
+/// (measured-major): each entry stores `round(log p / qscale)` with
+/// `qscale = ln(1e-12) / 65535`, so a particle's beam log-likelihoods can
+/// be *summed as integers* and converted to a float once per particle.
+/// Integer addition is exact and order-free, which is what makes the fused
+/// kernel bitwise identical across thread counts without prescribing a
+/// float summation order.
 ///
 /// The measured-major layout matches the access pattern of one correction
 /// step: the measured bin is fixed per beam across all particles, so each
@@ -73,15 +70,73 @@ pub struct BeamSensorModel {
     config: BeamModelConfig,
     max_range: f64,
     bins: usize,
-    /// Reciprocal of the table resolution; binning multiplies by this
-    /// (one shared rounding path for both evaluators).
+    /// Reciprocal of the table resolution; binning multiplies by this.
     inv_res: f64,
-    /// `table[expected_bin * bins + measured_bin]` = log p(measured | expected).
-    table: Vec<f32>,
     /// `qtable[measured_bin * bins + expected_bin]` = `round(log p / qscale)`.
     qtable: Vec<u16>,
     /// Log-likelihood per quantization code: `ln(1e-12) / 65535` (negative).
     qscale: f64,
+}
+
+/// Calls `sink(expected_bin, measured_bin, log p)` for every table cell,
+/// with `log p ∈ [ln 1e-12, 0]` evaluated in f64 from the mixture
+/// densities.
+fn for_each_log_density(
+    config: &BeamModelConfig,
+    max_range: f64,
+    bins: usize,
+    mut sink: impl FnMut(usize, usize, f64),
+) {
+    let res = config.resolution;
+    let norm = 1.0 / ((2.0 * std::f64::consts::PI).sqrt() * config.sigma_hit);
+    // Row scratch hoisted out of the expected-bin loop; every element
+    // is overwritten each iteration.
+    let mut row = vec![0.0f64; bins];
+    let mut probs = vec![0.0f64; bins];
+    for e in 0..bins {
+        let expected = e as f64 * res;
+        // Normalize the hit component over the truncated support so each
+        // row is a proper distribution.
+        let mut hit_mass = 0.0;
+        for (m, slot) in row.iter_mut().enumerate() {
+            let measured = m as f64 * res;
+            let d = measured - expected;
+            let hit = norm * (-0.5 * d * d / (config.sigma_hit * config.sigma_hit)).exp();
+            hit_mass += hit * res;
+            *slot = hit;
+        }
+        let hit_scale = if hit_mass > 1e-12 {
+            1.0 / hit_mass
+        } else {
+            0.0
+        };
+        // Short component normalization over [0, expected].
+        let short_cdf = 1.0 - (-config.lambda_short * expected).exp();
+        let mut mass = 0.0;
+        for (m, slot) in probs.iter_mut().enumerate() {
+            let measured = m as f64 * res;
+            let hit = row[m] * hit_scale * res;
+            let short = if measured <= expected && short_cdf > 1e-9 {
+                config.lambda_short * (-config.lambda_short * measured).exp() / short_cdf * res
+            } else {
+                0.0
+            };
+            let maxr = if m + 1 == bins { 1.0 } else { 0.0 };
+            let rand = res / max_range;
+            let p = config.z_hit * hit
+                + config.z_short * short
+                + config.z_max * maxr
+                + config.z_rand * rand;
+            mass += p;
+            *slot = p;
+        }
+        // Renormalize the row: when expected ≈ 0 the short component has
+        // no support and would otherwise leak its mixture weight.
+        let scale = if mass > 1e-12 { 1.0 / mass } else { 1.0 };
+        for (m, &p) in probs.iter().enumerate() {
+            sink(e, m, ((p * scale).max(1e-12)).ln());
+        }
+    }
 }
 
 impl BeamSensorModel {
@@ -100,69 +155,18 @@ impl BeamSensorModel {
             "mixture weights must sum to 1 (got {wsum})"
         );
         let bins = (max_range / config.resolution).ceil() as usize + 1;
-        let mut table = vec![0.0f32; bins * bins];
         let mut qtable = vec![0u16; bins * bins];
-        let qscale = Self::LOG_FLOOR_F64 / f64::from(u16::MAX);
-        let res = config.resolution;
-        let norm = 1.0 / ((2.0 * std::f64::consts::PI).sqrt() * config.sigma_hit);
-        // Row scratch hoisted out of the expected-bin loop; every element
-        // is overwritten each iteration.
-        let mut row = vec![0.0f64; bins];
-        let mut probs = vec![0.0f64; bins];
-        for e in 0..bins {
-            let expected = e as f64 * res;
-            // Normalize the hit component over the truncated support so each
-            // row is a proper distribution.
-            let mut hit_mass = 0.0;
-            for (m, slot) in row.iter_mut().enumerate() {
-                let measured = m as f64 * res;
-                let d = measured - expected;
-                let hit = norm * (-0.5 * d * d / (config.sigma_hit * config.sigma_hit)).exp();
-                hit_mass += hit * res;
-                *slot = hit;
-            }
-            let hit_scale = if hit_mass > 1e-12 {
-                1.0 / hit_mass
-            } else {
-                0.0
-            };
-            // Short component normalization over [0, expected].
-            let short_cdf = 1.0 - (-config.lambda_short * expected).exp();
-            let mut mass = 0.0;
-            for (m, slot) in probs.iter_mut().enumerate() {
-                let measured = m as f64 * res;
-                let hit = row[m] * hit_scale * res;
-                let short = if measured <= expected && short_cdf > 1e-9 {
-                    config.lambda_short * (-config.lambda_short * measured).exp() / short_cdf * res
-                } else {
-                    0.0
-                };
-                let maxr = if m + 1 == bins { 1.0 } else { 0.0 };
-                let rand = res / max_range;
-                let p = config.z_hit * hit
-                    + config.z_short * short
-                    + config.z_max * maxr
-                    + config.z_rand * rand;
-                mass += p;
-                *slot = p;
-            }
-            // Renormalize the row: when expected ≈ 0 the short component has
-            // no support and would otherwise leak its mixture weight.
-            let scale = if mass > 1e-12 { 1.0 / mass } else { 1.0 };
-            for (m, &p) in probs.iter().enumerate() {
-                let logp = ((p * scale).max(1e-12)).ln();
-                table[e * bins + m] = logp as f32;
-                // Transposed (measured-major) and quantized from the same
-                // f64 density; `logp ∈ [ln 1e-12, 0]` so the code fits.
-                qtable[m * bins + e] = (logp / qscale).round() as u16;
-            }
-        }
+        let qscale = Self::LOG_FLOOR / f64::from(u16::MAX);
+        for_each_log_density(&config, max_range, bins, |e, m, logp| {
+            // Transposed (measured-major); `logp ∈ [ln 1e-12, 0]` so the
+            // code fits.
+            qtable[m * bins + e] = (logp / qscale).round() as u16;
+        });
         Self {
             config,
             max_range,
             bins,
             inv_res: 1.0 / config.resolution,
-            table,
             qtable,
             qscale,
         }
@@ -178,44 +182,27 @@ impl BeamSensorModel {
         self.bins
     }
 
-    /// Heap bytes used by both tables (f32 oracle + u16 quantized).
+    /// Heap bytes used by the quantized table.
     pub fn memory_bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<f32>()
-            + self.qtable.len() * std::mem::size_of::<u16>()
+        self.qtable.len() * std::mem::size_of::<u16>()
     }
 
-    /// Log-probability floor returned on an (impossible) out-of-table
-    /// access: `ln(1e-12)`, the same clamp the table rows are built with.
-    const LOG_FLOOR: f32 = -27.631021;
-
-    /// The floor in f64, the quantized table's reference point: code 65535
-    /// decodes to exactly this value.
-    const LOG_FLOOR_F64: f64 = -27.631_021_115_928_547;
+    /// The log-probability floor `ln(1e-12)`, the clamp the table rows are
+    /// built with: code 65535 decodes to exactly this value.
+    const LOG_FLOOR: f64 = -27.631_021_115_928_547;
 
     #[inline]
     fn bin(&self, r: f64) -> usize {
         ((r.clamp(0.0, self.max_range) * self.inv_res) as usize).min(self.bins - 1)
     }
 
-    /// Checked table access: `bin` clamps both axes into range, so the
-    /// lookup cannot miss; the floor fallback keeps the hot path free of
-    /// panic branches (analysis rule R1-idx).
-    #[inline]
-    fn entry(&self, expected_bin: usize, measured_bin: usize) -> f32 {
-        self.table
-            .get(expected_bin * self.bins + measured_bin)
-            .copied()
-            .unwrap_or(Self::LOG_FLOOR)
-    }
-
     /// Log-probability of measuring `measured` when the map predicts
-    /// `expected` (both in meters; values are clamped to the table domain).
-    ///
-    /// This is the retained f32 oracle; the hot path goes through the
-    /// quantized accessors below.
+    /// `expected` (both in meters; values are clamped to the table domain),
+    /// decoded from the u16 code the correction kernel sums.
     #[inline]
     pub fn log_prob(&self, expected: f64, measured: f64) -> f64 {
-        self.entry(self.bin(expected), self.bin(measured)) as f64
+        let idx = self.row_offset(measured) + self.expected_bin(expected);
+        f64::from(self.code_at(idx)) * self.qscale
     }
 
     /// Reciprocal of the table resolution, for quantizing expected ranges
@@ -239,8 +226,8 @@ impl BeamSensorModel {
         (self.bin(measured) * self.bins) as u32
     }
 
-    /// Bin index of an expected range — the same rounding as the oracle's
-    /// internal binning, exposed for reference implementations.
+    /// Bin index of an expected range — the model's own binning, exposed
+    /// for reference implementations.
     #[inline]
     pub fn expected_bin(&self, r: f64) -> u32 {
         self.bin(r) as u32
@@ -263,15 +250,6 @@ impl BeamSensorModel {
     pub fn quantization_scale(&self) -> f64 {
         self.qscale
     }
-
-    /// The quantized evaluator in oracle shape: decodes the u16 code for
-    /// one `(expected, measured)` pair. Differs from [`Self::log_prob`] by
-    /// at most half a quantization step (≈ 2.1·10⁻⁴ nats).
-    #[inline]
-    pub fn log_prob_quantized(&self, expected: f64, measured: f64) -> f64 {
-        let idx = self.row_offset(measured) + self.expected_bin(expected);
-        f64::from(self.code_at(idx)) * self.qscale
-    }
 }
 
 #[cfg(test)]
@@ -280,6 +258,28 @@ mod tests {
 
     fn model() -> BeamSensorModel {
         BeamSensorModel::new(BeamModelConfig::default(), 10.0)
+    }
+
+    /// The unquantized f32 evaluator, built from the same f64 density loop
+    /// as the u16 table: the reference the quantization is checked against.
+    struct Oracle {
+        /// `table[expected_bin * bins + measured_bin]` = log p(measured | expected).
+        table: Vec<f32>,
+    }
+
+    impl Oracle {
+        fn new(m: &BeamSensorModel) -> Self {
+            let bins = m.bins;
+            let mut table = vec![0.0f32; bins * bins];
+            for_each_log_density(&m.config, m.max_range, bins, |e, me, logp| {
+                table[e * bins + me] = logp as f32;
+            });
+            Self { table }
+        }
+
+        fn log_prob(&self, m: &BeamSensorModel, expected: f64, measured: f64) -> f64 {
+            f64::from(self.table[m.bin(expected) * m.bins + m.bin(measured)])
+        }
     }
 
     #[test]
@@ -314,9 +314,10 @@ mod tests {
     #[test]
     fn rows_are_normalized() {
         let m = model();
+        let oracle = Oracle::new(&m);
         for e in [0usize, 40, 100, 199] {
             let sum: f64 = (0..m.bins())
-                .map(|b| (m.table[e * m.bins + b] as f64).exp())
+                .map(|b| f64::from(oracle.table[e * m.bins + b]).exp())
                 .sum();
             assert!((sum - 1.0).abs() < 0.05, "row {e} sums to {sum}");
         }
@@ -363,20 +364,21 @@ mod tests {
     #[test]
     fn memory_accounting() {
         let m = model();
-        // 4 B/entry f32 oracle + 2 B/entry u16 quantized table.
-        assert_eq!(m.memory_bytes(), m.bins() * m.bins() * (4 + 2));
+        // 2 B/entry u16 quantized table.
+        assert_eq!(m.memory_bytes(), m.bins() * m.bins() * 2);
     }
 
     #[test]
     fn quantized_matches_oracle_within_half_step() {
         let m = model();
+        let oracle = Oracle::new(&m);
         let half_step = m.quantization_scale().abs() / 2.0;
         assert!((half_step - 27.631_021 / 65535.0 / 2.0).abs() < 1e-9);
         let mut worst = 0.0f64;
         for e in 0..=40 {
             for me in 0..=40 {
                 let (exp, meas) = (e as f64 * 0.25, me as f64 * 0.25);
-                let err = (m.log_prob_quantized(exp, meas) - m.log_prob(exp, meas)).abs();
+                let err = (m.log_prob(exp, meas) - oracle.log_prob(&m, exp, meas)).abs();
                 worst = worst.max(err);
             }
         }
@@ -397,7 +399,7 @@ mod tests {
         ] {
             let idx = m.row_offset(meas) + m.expected_bin(exp);
             let via_codes = f64::from(m.code_at(idx)) * m.quantization_scale();
-            assert_eq!(via_codes, m.log_prob_quantized(exp, meas));
+            assert_eq!(via_codes, m.log_prob(exp, meas));
         }
     }
 
@@ -405,9 +407,15 @@ mod tests {
     fn quantized_preserves_oracle_ordering() {
         // The rankings the filter cares about must survive quantization.
         let m = model();
-        assert!(m.log_prob_quantized(5.0, 5.0) > m.log_prob_quantized(5.0, 2.0));
-        assert!(m.log_prob_quantized(5.0, 2.0) > m.log_prob_quantized(5.0, 8.0));
-        assert!(m.log_prob_quantized(5.0, 10.0) > m.log_prob_quantized(5.0, 9.7) + 1.0);
+        let oracle = Oracle::new(&m);
+        for ((e1, m1), (e2, m2), margin) in [
+            ((5.0, 5.0), (5.0, 2.0), 0.0),
+            ((5.0, 2.0), (5.0, 8.0), 0.0),
+            ((5.0, 10.0), (5.0, 9.7), 1.0),
+        ] {
+            assert!(oracle.log_prob(&m, e1, m1) > oracle.log_prob(&m, e2, m2) + margin);
+            assert!(m.log_prob(e1, m1) > m.log_prob(e2, m2) + margin);
+        }
     }
 
     #[test]
@@ -435,175 +443,5 @@ mod tests {
             * m.quantization_scale();
         assert!((lw - per_code).abs() < 1e-12);
         assert!(lw < 0.0);
-    }
-}
-
-/// Configuration of the likelihood-field ("endpoint") sensor model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LikelihoodFieldConfig {
-    /// Weight of the Gaussian hit component.
-    pub z_hit: f64,
-    /// Weight of the uniform clutter component.
-    pub z_rand: f64,
-    /// σ of the endpoint-to-wall distance Gaussian \[m\].
-    pub sigma: f64,
-}
-
-impl Default for LikelihoodFieldConfig {
-    fn default() -> Self {
-        Self {
-            z_hit: 0.9,
-            z_rand: 0.1,
-            sigma: 0.1,
-        }
-    }
-}
-
-/// The likelihood-field sensor model (Thrun et al. §6.4; AMCL's default):
-/// instead of comparing measured against expected ranges, each beam
-/// *endpoint* is scored by its distance to the nearest mapped wall, read
-/// from a precomputed Euclidean distance transform. No ray casting at all —
-/// the cheapest sensor model available, at the cost of ignoring occlusion.
-///
-/// # Examples
-///
-/// ```
-/// use raceloc_map::{CellState, OccupancyGrid};
-/// use raceloc_core::Point2;
-/// use raceloc_pf::sensor::{LikelihoodField, LikelihoodFieldConfig};
-///
-/// let mut grid = OccupancyGrid::new(40, 40, 0.1, Point2::ORIGIN);
-/// grid.fill(CellState::Free);
-/// grid.set_world(Point2::new(2.0, 2.0), CellState::Occupied);
-/// let field = LikelihoodField::new(&grid, LikelihoodFieldConfig::default(), 10.0);
-/// // An endpoint on the wall scores higher than one in free space.
-/// assert!(field.log_prob_point(Point2::new(2.0, 2.0))
-///     > field.log_prob_point(Point2::new(3.5, 3.5)));
-/// ```
-#[derive(Debug, Clone)]
-pub struct LikelihoodField {
-    dist: raceloc_map::DistanceMap,
-    config: LikelihoodFieldConfig,
-    log_norm: f64,
-    rand_density: f64,
-}
-
-impl LikelihoodField {
-    /// Precomputes the distance field over the map's occupied cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `sigma` is not positive, the mixture weights do not sum
-    /// to ~1, or `max_range` is not positive.
-    pub fn new(
-        grid: &raceloc_map::OccupancyGrid,
-        config: LikelihoodFieldConfig,
-        max_range: f64,
-    ) -> Self {
-        assert!(config.sigma > 0.0, "sigma must be positive");
-        assert!(max_range > 0.0, "max_range must be positive");
-        let wsum = config.z_hit + config.z_rand;
-        assert!(
-            (wsum - 1.0).abs() < 1e-6,
-            "mixture weights must sum to 1 (got {wsum})"
-        );
-        let dist = raceloc_map::DistanceMap::from_grid_with(grid, |s| {
-            s == raceloc_map::CellState::Occupied
-        });
-        Self {
-            dist,
-            config,
-            log_norm: -0.5 * (2.0 * std::f64::consts::PI).ln() - config.sigma.ln(),
-            rand_density: 1.0 / max_range,
-        }
-    }
-
-    /// Log-probability contribution of one beam endpoint in world
-    /// coordinates.
-    #[inline]
-    pub fn log_prob_point(&self, p: raceloc_core::Point2) -> f64 {
-        let d = self.dist.distance_at_world(p);
-        let hit = (self.log_norm - 0.5 * d * d / (self.config.sigma * self.config.sigma)).exp();
-        (self.config.z_hit * hit + self.config.z_rand * self.rand_density)
-            .max(1e-12)
-            .ln()
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &LikelihoodFieldConfig {
-        &self.config
-    }
-}
-
-#[cfg(test)]
-mod likelihood_field_tests {
-    use super::*;
-    use raceloc_core::Point2;
-    use raceloc_map::{CellState, OccupancyGrid};
-
-    fn grid_with_wall() -> OccupancyGrid {
-        let mut g = OccupancyGrid::new(60, 60, 0.1, Point2::ORIGIN);
-        g.fill(CellState::Free);
-        for r in 0..60i64 {
-            g.set((40i64, r).into(), CellState::Occupied);
-        }
-        g
-    }
-
-    #[test]
-    fn score_decays_with_distance_from_wall() {
-        let f = LikelihoodField::new(&grid_with_wall(), LikelihoodFieldConfig::default(), 10.0);
-        let on = f.log_prob_point(Point2::new(4.05, 3.0));
-        let near = f.log_prob_point(Point2::new(3.85, 3.0));
-        let far = f.log_prob_point(Point2::new(2.0, 3.0));
-        assert!(on > near);
-        assert!(near > far);
-    }
-
-    #[test]
-    fn clutter_floor_is_finite_everywhere() {
-        let f = LikelihoodField::new(&grid_with_wall(), LikelihoodFieldConfig::default(), 10.0);
-        let lp = f.log_prob_point(Point2::new(-50.0, -50.0));
-        assert!(lp.is_finite());
-        // Out-of-map reads as distance zero (opaque), i.e. a hit — the
-        // conservative convention shared with the range methods.
-    }
-
-    #[test]
-    fn sigma_controls_sharpness() {
-        let sharp = LikelihoodField::new(
-            &grid_with_wall(),
-            LikelihoodFieldConfig {
-                sigma: 0.05,
-                ..LikelihoodFieldConfig::default()
-            },
-            10.0,
-        );
-        let blunt = LikelihoodField::new(
-            &grid_with_wall(),
-            LikelihoodFieldConfig {
-                sigma: 0.3,
-                ..LikelihoodFieldConfig::default()
-            },
-            10.0,
-        );
-        let p = Point2::new(3.7, 3.0); // ~0.3 m off the wall
-        let drop_sharp = sharp.log_prob_point(Point2::new(4.05, 3.0)) - sharp.log_prob_point(p);
-        let drop_blunt = blunt.log_prob_point(Point2::new(4.05, 3.0)) - blunt.log_prob_point(p);
-        assert!(drop_sharp > drop_blunt);
-    }
-
-    #[test]
-    #[should_panic(expected = "sum to 1")]
-    fn bad_weights_panic() {
-        LikelihoodField::new(
-            &grid_with_wall(),
-            LikelihoodFieldConfig {
-                z_hit: 0.5,
-                z_rand: 0.1,
-                sigma: 0.1,
-            },
-            10.0,
-        );
     }
 }

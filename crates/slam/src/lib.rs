@@ -36,7 +36,6 @@
 //! localizer.reset(track.start_pose());
 //! ```
 
-mod compat;
 pub mod localization;
 pub mod loop_closure;
 pub mod pose_graph;

@@ -20,7 +20,6 @@ use crate::scan_matcher::{CorrelativeScanMatcher, GaussNewtonRefiner, SearchWind
 use raceloc_core::localizer::Localizer;
 use raceloc_core::sensor_data::{LaserScan, Odometry};
 use raceloc_core::{Diagnostics, Health, HealthConfig, HealthMonitor, HealthSignal, Point2, Pose2};
-use raceloc_map::OccupancyGrid;
 use raceloc_obs::Telemetry;
 use raceloc_range::MapArtifacts;
 
@@ -161,14 +160,11 @@ impl CartoLocalizer {
     /// consumed (converted once to the matcher's smoothed probability
     /// field); the bundle's lazy range LUT is *not* touched, so
     /// Cartographer-only sessions never pay a LUT build.
+    ///
+    /// The smoothed field is a Gaussian ridge on the wall surface, so
+    /// gradient refinement works on thick wall bands.
     pub fn from_artifacts(artifacts: &MapArtifacts, config: CartoLocalizerConfig) -> Self {
-        Self::from_grid(artifacts.grid(), config)
-    }
-
-    /// Builds the localizer over a known occupancy map. The map is
-    /// converted to a smoothed probability field (Gaussian ridge on the
-    /// wall surface) so gradient refinement works on thick wall bands.
-    pub(crate) fn from_grid(map: &OccupancyGrid, config: CartoLocalizerConfig) -> Self {
+        let map = artifacts.grid();
         Self {
             grid: ProbabilityGrid::from_occupancy_smoothed(map, 3.0 * map.resolution()),
             matcher: CorrelativeScanMatcher::new(config.linear_step, config.angular_step),
