@@ -1,6 +1,7 @@
 //! Golden-run regression snapshots: fixed-seed closed-loop fleets whose
 //! serialized reports are checked in byte-for-byte, plus one SynPF run
-//! whose per-step correction-tail decisions are checked in the same way.
+//! and one Cartographer run whose per-step correction-tail decisions are
+//! checked in the same way.
 //!
 //! The entire raceloc pipeline is deterministic by construction (rule
 //! R3), so the strongest possible regression test is also the simplest:
@@ -9,10 +10,10 @@
 //! localizer, the fault engine, or the aggregation — shows up as a byte
 //! diff, with the changed statistics named in the failure message.
 //!
-//! - The worker-pool width (and SynPF's `threads` in the tail run) comes
-//!   from `RACELOC_THREADS` (default 2), so the CI thread matrix doubles
-//!   as a thread-independence check: the same snapshot must hold at every
-//!   width.
+//! - The worker-pool width (and the lidar's and SynPF's `threads` in the
+//!   tail runs) comes from `RACELOC_THREADS` (default 2), so the CI thread
+//!   matrix doubles as a thread-independence check: the same snapshot must
+//!   hold at every width.
 //! - To regenerate after an *intentional* behavioural change, run
 //!   `RACELOC_BLESS=1 cargo test --test golden_runs` and commit the
 //!   rewritten files under `tests/golden/`.
@@ -28,6 +29,7 @@ use raceloc_faults::FaultSchedule;
 use raceloc_pf::{HealthPolicy, KldConfig, RecoveryConfig, SynPf, SynPfConfig};
 use raceloc_range::{ArtifactParams, MapArtifacts};
 use raceloc_sim::{World, WorldConfig};
+use raceloc_slam::{CartoLocalizer, CartoLocalizerConfig, SlamHealthPolicy};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -135,62 +137,77 @@ fn golden_spec_round_trips_and_matches_snapshot() {
     assert_eq!(back.to_json().to_string(), spec.to_json().to_string());
 }
 
-/// Forwards every [`Localizer`] call to a SynPF and records, after each
-/// correction, the state the correction tail decides: pose, health,
-/// particle count (KLD), and deadline rung.
-struct TailProbe {
-    pf: SynPf<Arc<MapArtifacts>>,
+/// Forwards every [`Localizer`] call to `inner` and appends one row per
+/// correction, written by `row` from the localizer and the pose it just
+/// returned: the state the correction tail decided.
+struct TailProbe<L> {
+    inner: L,
+    row: fn(&L, Pose2) -> String,
     rows: String,
     steps: usize,
 }
 
-impl Localizer for TailProbe {
+impl<L: Localizer> TailProbe<L> {
+    fn new(inner: L, header: &str, row: fn(&L, Pose2) -> String) -> Self {
+        Self {
+            inner,
+            row,
+            rows: format!("step\t{header}\n"),
+            steps: 0,
+        }
+    }
+}
+
+impl<L: Localizer> Localizer for TailProbe<L> {
     fn predict(&mut self, odom: &Odometry) {
-        self.pf.predict(odom);
+        self.inner.predict(odom);
     }
 
     fn correct(&mut self, scan: &LaserScan) -> Pose2 {
-        let p = self.pf.correct(scan);
-        let rung = self.pf.deadline().map_or(0, |c| c.rung());
-        writeln!(
-            self.rows,
-            "{}\t{:?}\t{:?}\t{:?}\t{:?}\t{}\t{}",
-            self.steps,
-            p.x,
-            p.y,
-            p.theta,
-            self.pf.health(),
-            self.pf.particles().len(),
-            rung
-        )
-        .expect("write to String");
+        let p = self.inner.correct(scan);
+        writeln!(self.rows, "{}\t{}", self.steps, (self.row)(&self.inner, p))
+            .expect("write to String");
         self.steps += 1;
         p
     }
 
     fn pose(&self) -> Pose2 {
-        self.pf.pose()
+        self.inner.pose()
     }
 
     fn reset(&mut self, pose: Pose2) {
-        self.pf.reset(pose);
+        self.inner.reset(pose);
     }
 
     fn name(&self) -> &str {
-        self.pf.name()
+        self.inner.name()
     }
 
     fn diagnostics(&self) -> Diagnostics {
-        self.pf.diagnostics()
+        self.inner.diagnostics()
     }
 
     fn health(&self) -> Health {
-        self.pf.health()
+        self.inner.health()
     }
 
     fn set_compute_pressure(&mut self, factor: f64) {
-        self.pf.set_compute_pressure(factor);
+        self.inner.set_compute_pressure(factor);
     }
+}
+
+/// The golden track and a low-grip world on it with `faults` installed;
+/// the lidar casts on `RACELOC_THREADS` workers.
+fn faulted_world(faults: FaultSchedule) -> World {
+    let track = golden_spec().maps[0].build_track();
+    let mut wcfg = WorldConfig::default();
+    wcfg.vehicle.mu = 19.0 / 26.0;
+    wcfg.seed = 5;
+    wcfg.lidar.beams = 61;
+    wcfg.threads = threads();
+    let mut world = World::new(track, wcfg);
+    world.set_fault_schedule(faults);
+    world
 }
 
 /// One SynPF closed loop under oracle control with every stage of the
@@ -200,9 +217,17 @@ impl Localizer for TailProbe {
 /// Pins the tail's decisions step by step, at any `RACELOC_THREADS`.
 #[test]
 fn golden_synpf_correction_tail_matches_snapshot() {
-    let map = &golden_spec().maps[0];
-    let track = map.build_track();
-    let artifacts = Arc::new(MapArtifacts::build(&track.grid, ArtifactParams::default()));
+    let mut world = faulted_world(
+        FaultSchedule::builder()
+            .seed(5)
+            .range_bias(20, 30, 0.5)
+            .pose_kidnap(46, 4.0)
+            .compute_pressure(30, 40, 0.3)
+            .build()
+            .expect("valid"),
+    );
+    let grid = &world.track().grid;
+    let artifacts = Arc::new(MapArtifacts::build(grid, ArtifactParams::default()));
     let particles = 120;
     let deadline = DeadlineConfig::default();
     // "Slack": the budget exactly fits a full-rung step, so any pressure
@@ -228,28 +253,66 @@ fn golden_synpf_correction_tail_matches_snapshot() {
         .build()
         .expect("valid config");
     let mut pf = SynPf::from_artifacts(artifacts, config);
-    pf.enable_recovery(&track.grid);
-
-    let mut wcfg = WorldConfig::default();
-    wcfg.vehicle.mu = 19.0 / 26.0;
-    wcfg.seed = 5;
-    wcfg.lidar.beams = 61;
-    let mut world = World::new(track, wcfg);
-    world.set_fault_schedule(
-        FaultSchedule::builder()
-            .seed(5)
-            .range_bias(20, 30, 0.5)
-            .pose_kidnap(46, 4.0)
-            .compute_pressure(30, 40, 0.3)
-            .build()
-            .expect("valid"),
-    );
-    let mut probe = TailProbe {
+    pf.enable_recovery(grid);
+    let mut probe = TailProbe::new(
         pf,
-        rows: String::from("step\tx\ty\ttheta\thealth\tparticles\trung\n"),
-        steps: 0,
-    };
+        "x\ty\ttheta\thealth\tparticles\trung",
+        |pf: &SynPf<Arc<MapArtifacts>>, p| {
+            let rung = pf.deadline().map_or(0, |c| c.rung());
+            format!(
+                "{:?}\t{:?}\t{:?}\t{:?}\t{}\t{}",
+                p.x,
+                p.y,
+                p.theta,
+                pf.health(),
+                pf.particles().len(),
+                rung
+            )
+        },
+    );
     let log = world.run_with_oracle_control(&mut probe, 1.5);
     assert!(!log.crashed, "oracle control must not crash");
     check_snapshot("synpf_tail.tsv", &probe.rows);
+}
+
+/// One Cartographer closed loop (pure localization with the health
+/// policy) under oracle control, driven through odometry slip, a range
+/// bias, a lidar blackout and a kidnap. Each scan records the returned
+/// pose and the match score as f64 bit patterns plus the health state,
+/// so any change to the correlative search or the refiner shows up as a
+/// diff, at any `RACELOC_THREADS`.
+#[test]
+fn golden_carto_correction_tail_matches_snapshot() {
+    let mut world = faulted_world(
+        FaultSchedule::builder()
+            .seed(5)
+            .odom_slip(10, 25, 1.8)
+            .range_bias(30, 40, 0.5)
+            .lidar_blackout(48, 56)
+            .pose_kidnap(66, 4.0)
+            .build()
+            .expect("valid"),
+    );
+    let artifacts = MapArtifacts::build(&world.track().grid, ArtifactParams::default());
+    let config = CartoLocalizerConfig {
+        health: Some(SlamHealthPolicy::default()),
+        ..CartoLocalizerConfig::default()
+    };
+    let mut probe = TailProbe::new(
+        CartoLocalizer::from_artifacts(&artifacts, config),
+        "x\ty\ttheta\tscore\thealth",
+        |carto: &CartoLocalizer, p| {
+            format!(
+                "{:016x}\t{:016x}\t{:016x}\t{:016x}\t{:?}",
+                p.x.to_bits(),
+                p.y.to_bits(),
+                p.theta.to_bits(),
+                carto.last_score().to_bits(),
+                carto.health()
+            )
+        },
+    );
+    let log = world.run_with_oracle_control(&mut probe, 2.25);
+    assert!(!log.crashed, "oracle control must not crash");
+    check_snapshot("carto_tail.tsv", &probe.rows);
 }
