@@ -28,7 +28,7 @@ fn bench_scan_matching(c: &mut Criterion) {
     let sensor_pose = track.start_pose();
 
     group.bench_function("correlative_window", |b| {
-        let matcher = CorrelativeScanMatcher::new(0.05, 0.015);
+        let mut matcher = CorrelativeScanMatcher::new(0.05, 0.015);
         b.iter(|| {
             matcher.match_scan(
                 &grid,

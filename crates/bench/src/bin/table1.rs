@@ -3,13 +3,19 @@
 //! low-quality} wheel odometry, 10 flying laps per cell.
 //!
 //! Run with `cargo run -p raceloc-bench --release --bin table1`.
-//! Pass a lap count as the first argument to shorten the experiment.
+//! Pass a lap count as the first argument to shorten the experiment
+//! (`0` is a fast smoke run: warm-up laps only).
+//!
+//! Each localizer's construction (map artifacts, and for SynPF the range
+//! LUT) is timed and printed apart as its cold start, so the load column
+//! is steady state. Exits 1 when SynPF's load is not below Cartographer's
+//! on either odometry quality, the paper's qualitative ordering.
 
 use raceloc_bench::{
     build_cartographer, build_synpf, format_row, run_cell_instrumented, table_header, test_track,
-    OdomSource, MU_HIGH_QUALITY, MU_LOW_QUALITY,
+    CellResult, OdomSource, MU_HIGH_QUALITY, MU_LOW_QUALITY,
 };
-use raceloc_obs::Telemetry;
+use raceloc_obs::{Stopwatch, Telemetry};
 
 fn main() {
     let laps: usize = std::env::args()
@@ -24,6 +30,7 @@ fn main() {
 
     let track = test_track();
     let mut results = Vec::new();
+    let mut cold_starts = Vec::new();
     // One telemetry handle shared by the world and both localizers: the
     // per-stage latency report below (Table III) is regenerated from the
     // spans recorded here, not from ad-hoc timers.
@@ -32,7 +39,9 @@ fn main() {
     // IMU-fused odometry, matching the respective F1TENTH configurations
     // (DESIGN.md §5).
     for (odom, mu) in [("HQ", MU_HIGH_QUALITY), ("LQ", MU_LOW_QUALITY)] {
+        let started = Stopwatch::start();
         let mut carto = build_cartographer(&track);
+        cold_starts.push(("Cartographer", odom, started.elapsed_seconds()));
         carto.set_telemetry(tel.clone());
         let r = run_cell_instrumented(
             &mut carto,
@@ -48,7 +57,9 @@ fn main() {
         results.push(r);
     }
     for (odom, mu) in [("HQ", MU_HIGH_QUALITY), ("LQ", MU_LOW_QUALITY)] {
+        let started = Stopwatch::start();
         let mut pf = build_synpf(&track, 7);
+        cold_starts.push(("SynPF", odom, started.elapsed_seconds()));
         pf.set_telemetry(tel.clone());
         let r = run_cell_instrumented(
             &mut pf,
@@ -64,28 +75,24 @@ fn main() {
         results.push(r);
     }
 
+    println!();
+    for (method, odom, seconds) in &cold_starts {
+        println!(
+            "Cold start {method} {odom}: {:.1} ms (construction, kept out of the load column)",
+            seconds * 1e3
+        );
+    }
+
     // The paper's headline deltas.
-    let err = |m: &str, o: &str| {
+    let cell = |m: &str, o: &str, f: fn(&CellResult) -> f64| {
         results
             .iter()
             .find(|r| r.method == m && r.odom == o)
-            .map(|r| r.lateral_error_cm.mean)
-            .unwrap_or(f64::NAN)
+            .map_or(f64::NAN, f)
     };
-    let est = |m: &str, o: &str| {
-        results
-            .iter()
-            .find(|r| r.method == m && r.odom == o)
-            .map(|r| r.est_error_cm.mean)
-            .unwrap_or(f64::NAN)
-    };
-    let align = |m: &str, o: &str| {
-        results
-            .iter()
-            .find(|r| r.method == m && r.odom == o)
-            .map(|r| r.scan_align_pct)
-            .unwrap_or(f64::NAN)
-    };
+    let err = |m: &str, o: &str| cell(m, o, |r| r.lateral_error_cm.mean);
+    let est = |m: &str, o: &str| cell(m, o, |r| r.est_error_cm.mean);
+    let align = |m: &str, o: &str| cell(m, o, |r| r.scan_align_pct);
     println!();
     println!(
         "Cartographer HQ→LQ: lateral error {:+.1}% (paper +66.6%), alignment {:+.1}% (paper -11.0%)",
@@ -121,5 +128,28 @@ fn main() {
     }
     if let Some(load) = raceloc_metrics::latency::snapshot_load_percent(&snap, 40.0, 50.0) {
         println!("Span-derived closed-loop load (sim.correct@40Hz + sim.predict@50Hz): {load:.2}% of one core");
+    }
+
+    // The paper's qualitative load ordering: SynPF runs lighter than
+    // Cartographer on both odometry qualities.
+    let load = |m: &str, o: &str| cell(m, o, |r| r.load_pct);
+    println!();
+    let mut ordered = true;
+    for odom in ["HQ", "LQ"] {
+        let (synpf, carto) = (load("SynPF", odom), load("Cartographer", odom));
+        let holds = synpf < carto;
+        ordered &= holds;
+        println!(
+            "Load ordering {odom}: SynPF {synpf:.2}% vs Cartographer {carto:.2}% — {}",
+            if holds {
+                "ok (SynPF lighter)"
+            } else {
+                "VIOLATED"
+            }
+        );
+    }
+    if !ordered {
+        eprintln!("table1: steady-state SynPF load is not below Cartographer's");
+        std::process::exit(1);
     }
 }

@@ -105,13 +105,19 @@ pub fn build_synpf(track: &Track, seed: u64) -> SynPf<Arc<MapArtifacts>> {
 
 /// [`build_synpf`] with an explicit worker-thread count for the fused
 /// particle pipeline (results are identical for every value).
+///
+/// The range LUT is built here, up front, so the cold start is paid by the
+/// constructor and not by the first correction: per-correction latency and
+/// load figures then describe the steady state only.
 pub fn build_synpf_threaded(track: &Track, seed: u64, threads: usize) -> SynPf<Arc<MapArtifacts>> {
     let config = SynPfConfig::builder()
         .seed(seed)
         .threads(threads.max(1))
         .build()
         .expect("paper configuration is valid");
-    SynPf::from_artifacts(track_artifacts(track), config)
+    let artifacts = track_artifacts(track);
+    artifacts.lut();
+    SynPf::from_artifacts(artifacts, config)
 }
 
 /// Builds the Cartographer pure-localization baseline for a track.

@@ -79,11 +79,16 @@ impl LaserScan {
         self.iter().filter(move |&(_, r)| r < cutoff && r > 0.0)
     }
 
+    /// Converts one `(angle, range)` return to a Cartesian point in the
+    /// sensor frame.
+    #[inline]
+    pub fn return_point((angle, range): (f64, f64)) -> crate::Point2 {
+        crate::Point2::new(range * angle.cos(), range * angle.sin())
+    }
+
     /// Converts returned beams to Cartesian points in the sensor frame.
     pub fn to_points(&self) -> Vec<crate::Point2> {
-        self.valid_returns()
-            .map(|(a, r)| crate::Point2::new(r * a.cos(), r * a.sin()))
-            .collect()
+        self.valid_returns().map(Self::return_point).collect()
     }
 }
 

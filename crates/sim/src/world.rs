@@ -445,9 +445,12 @@ impl World {
         let odom_period = 1.0 / self.config.odom_hz;
         let lidar_period = 1.0 / self.config.lidar_hz;
         let control_period = 1.0 / self.config.control_hz;
-        let mut next_odom = 0.0;
-        let mut next_lidar = 0.5 * lidar_period; // offset: odom before scan
-        let mut next_control = 0.0;
+        // The sensor schedule starts at the world clock, which keeps
+        // counting across runs on one world.
+        let start_time = self.time;
+        let mut next_odom = start_time;
+        let mut next_lidar = start_time + 0.5 * lidar_period; // offset: odom before scan
+        let mut next_control = start_time;
         let mut cmd = DriveCommand::default();
         let mut log = SimLog {
             samples: Vec::new(),
@@ -459,7 +462,6 @@ impl World {
         };
         let mut scan_counter = 0usize;
         let mut wheel_speed_estimate = 0.0;
-        let start_time = self.time;
         for _ in 0..steps {
             if self.time + 1e-12 >= next_odom {
                 next_odom += odom_period;
@@ -773,6 +775,26 @@ mod tests {
             // Stride-4 scan retention.
             assert!((log.scans.len() as i64 - 20).abs() <= 2);
         }
+    }
+
+    #[test]
+    fn back_to_back_runs_keep_the_sensor_rates() {
+        // The world clock keeps counting across runs; each run's sensor
+        // schedule must start from it, not from t = 0 (which would fire
+        // every sensor on every physics step of a second run).
+        let mut world = World::new(oval_track(), WorldConfig::default());
+        let mut dr = DeadReckoning::new();
+        let first = world.run(&mut dr, 2.0);
+        let second = world.run(&mut dr, 2.0);
+        assert_eq!(first.samples.len(), 80, "40 Hz lidar over 2 s");
+        assert!(
+            second.samples.len().abs_diff(first.samples.len()) <= 1,
+            "second run: {} scans vs {} in the first",
+            second.samples.len(),
+            first.samples.len()
+        );
+        assert!(second.predict_calls.abs_diff(first.predict_calls) <= 1);
+        assert!(second.samples[0].stamp >= 2.0, "stamps continue the clock");
     }
 
     #[test]

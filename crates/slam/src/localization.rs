@@ -16,7 +16,9 @@ use raceloc_obs::Stopwatch;
 use std::borrow::Cow;
 
 use crate::probgrid::ProbabilityGrid;
-use crate::scan_matcher::{CorrelativeScanMatcher, GaussNewtonRefiner, SearchWindow};
+use crate::scan_matcher::{
+    downsample_into, CorrelativeScanMatcher, GaussNewtonRefiner, SearchWindow,
+};
 use raceloc_core::localizer::Localizer;
 use raceloc_core::sensor_data::{LaserScan, Odometry};
 use raceloc_core::{Diagnostics, Health, HealthConfig, HealthMonitor, HealthSignal, Point2, Pose2};
@@ -134,6 +136,9 @@ pub struct CartoLocalizer {
     grid: ProbabilityGrid,
     matcher: CorrelativeScanMatcher,
     refiner: GaussNewtonRefiner,
+    /// The downsampled points of the scan being matched, reused across
+    /// corrections.
+    points: Vec<Point2>,
     pose: Pose2,
     last_odom: Option<Odometry>,
     last_score: f64,
@@ -169,6 +174,7 @@ impl CartoLocalizer {
             grid: ProbabilityGrid::from_occupancy_smoothed(map, 3.0 * map.resolution()),
             matcher: CorrelativeScanMatcher::new(config.linear_step, config.angular_step),
             refiner: GaussNewtonRefiner::default(),
+            points: Vec::new(),
             pose: Pose2::IDENTITY,
             last_odom: None,
             last_score: 0.0,
@@ -235,17 +241,6 @@ impl CartoLocalizer {
         };
         self.health_monitor.observe(signal);
     }
-
-    fn downsample(&self, scan: &LaserScan) -> Vec<Point2> {
-        let pts = scan.to_points();
-        if pts.len() <= self.config.max_points {
-            return pts;
-        }
-        let stride = pts.len() as f64 / self.config.max_points as f64;
-        (0..self.config.max_points)
-            .map(|i| pts[(i as f64 * stride) as usize])
-            .collect()
-    }
 }
 
 impl Localizer for CartoLocalizer {
@@ -264,8 +259,8 @@ impl Localizer for CartoLocalizer {
             self.note_uninformative_scan();
             return self.pose;
         }
-        let points = self.downsample(scan);
-        if points.is_empty() {
+        downsample_into(scan, self.config.max_points, &mut self.points);
+        if self.points.is_empty() {
             self.note_uninformative_scan();
             return self.pose;
         }
@@ -275,7 +270,7 @@ impl Localizer for CartoLocalizer {
         let refine_started = Stopwatch::start();
         let direct = self.refiner.refine_with_prior(
             &self.grid,
-            &points,
+            &self.points,
             prior,
             prior,
             self.config.prior_translation_weight,
@@ -286,12 +281,12 @@ impl Localizer for CartoLocalizer {
         self.record_stage("refine", refine_seconds);
         let fine = if direct.score < self.config.correlative_rescue_score {
             let rescue_started = Stopwatch::start();
-            let coarse = self
-                .matcher
-                .match_scan(&self.grid, &points, prior, self.config.window);
+            let coarse =
+                self.matcher
+                    .match_scan(&self.grid, &self.points, prior, self.config.window);
             let rescued = self.refiner.refine_with_prior(
                 &self.grid,
-                &points,
+                &self.points,
                 coarse.pose,
                 prior,
                 self.config.prior_translation_weight,

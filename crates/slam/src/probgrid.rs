@@ -203,8 +203,16 @@ impl ProbabilityGrid {
     /// as 0.5 (no information).
     #[inline]
     pub fn probability(&self, idx: GridIndex) -> f64 {
-        match self.flat(idx) {
-            Some(i) if self.cells[i] >= 0.0 => self.cells[i] as f64,
+        self.flat(idx).map_or(0.5, |i| self.probability_flat(i))
+    }
+
+    /// Occupancy probability of the cell at flat index `row · width +
+    /// col`; unknown cells and indices past the grid read as 0.5, as in
+    /// [`ProbabilityGrid::probability`].
+    #[inline]
+    pub fn probability_flat(&self, i: usize) -> f64 {
+        match self.cells.get(i) {
+            Some(&p) if p >= 0.0 => p as f64,
             _ => 0.5,
         }
     }

@@ -2,7 +2,32 @@
 //! refinement (the "local SLAM" front-end of Hess et al., ICRA 2016).
 
 use crate::probgrid::ProbabilityGrid;
+use raceloc_core::sensor_data::LaserScan;
 use raceloc_core::{Point2, Pose2};
+
+/// Fills `out` with at most `max_points` sensor-frame points of `scan`:
+/// every valid return when they fit, otherwise the valid returns at
+/// positions `⌊i · valid / max_points⌋`. Only the picked returns are
+/// converted, and `out` keeps its capacity between calls.
+pub(crate) fn downsample_into(scan: &LaserScan, max_points: usize, out: &mut Vec<Point2>) {
+    out.clear();
+    let valid = scan.valid_returns().count();
+    if valid <= max_points {
+        out.extend(scan.valid_returns().map(LaserScan::return_point));
+        return;
+    }
+    let stride = valid as f64 / max_points as f64;
+    // Strictly increasing because the stride exceeds 1.
+    let mut picks = (0..max_points)
+        .map(|i| (i as f64 * stride) as usize)
+        .peekable();
+    out.extend(
+        scan.valid_returns()
+            .enumerate()
+            .filter(|&(k, _)| picks.next_if_eq(&k).is_some())
+            .map(|(_, ret)| LaserScan::return_point(ret)),
+    );
+}
 
 /// The outcome of a scan match.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,12 +69,30 @@ impl SearchWindow {
 /// Exhaustive correlative scan matcher: scores every pose in a discretized
 /// window and returns the best (Olson 2009; used by Cartographer both as
 /// the real-time matcher and, via branch-and-bound, for loop closure).
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// The search is separable: a point's grid column depends only on the
+/// candidate's x offset and its row only on the y offset, so both are
+/// tabulated once per angle and each candidate only sums cell reads
+/// (DESIGN.md, "Separable correlative search"). The tables live in
+/// buffers the matcher keeps between calls.
+#[derive(Debug, Clone)]
 pub struct CorrelativeScanMatcher {
     /// Translational step \[m\] (usually the grid resolution).
     pub linear_step: f64,
     /// Rotational step \[rad\].
     pub angular_step: f64,
+    /// The window's translational offsets `i · linear_step`, in search
+    /// order; `span` of them.
+    offsets: Vec<f64>,
+    /// `cols[j * span + ix]`: grid column of point `j` shifted by the
+    /// `ix`-th x offset, or `width · height` off the grid.
+    cols: Vec<usize>,
+    /// `rows[j * span + iy]`: flat offset (`row · width`) of point `j`'s
+    /// row shifted by the `iy`-th y offset, or `width · height` off the
+    /// grid.
+    rows: Vec<usize>,
+    /// Running sums of one x offset's `span` candidates.
+    totals: Vec<f64>,
 }
 
 impl CorrelativeScanMatcher {
@@ -66,12 +109,16 @@ impl CorrelativeScanMatcher {
         Self {
             linear_step,
             angular_step,
+            offsets: Vec::new(),
+            cols: Vec::new(),
+            rows: Vec::new(),
+            totals: Vec::new(),
         }
     }
 
-    /// Scores a candidate placement: mean occupancy probability under the
-    /// scan's points transformed by `pose`.
-    pub fn score(&self, grid: &ProbabilityGrid, points: &[Point2], pose: Pose2) -> f64 {
+    /// Scores a placement: mean occupancy probability under the scan's
+    /// points transformed by `pose`.
+    pub fn score(grid: &ProbabilityGrid, points: &[Point2], pose: Pose2) -> f64 {
         if points.is_empty() {
             return 0.0;
         }
@@ -85,8 +132,14 @@ impl CorrelativeScanMatcher {
 
     /// Searches the window around `initial` for the best placement of the
     /// sensor-frame `points`.
+    ///
+    /// Candidates are visited angle-major, then by x and y offset, and
+    /// replace the best only on a strictly higher score. Each point is
+    /// placed at `initial` once per angle and then shifted by the
+    /// candidate's offsets, so the result is bit-identical to indexing
+    /// every point afresh for every candidate with that arithmetic.
     pub fn match_scan(
-        &self,
+        &mut self,
         grid: &ProbabilityGrid,
         points: &[Point2],
         initial: Pose2,
@@ -94,28 +147,70 @@ impl CorrelativeScanMatcher {
     ) -> MatchResult {
         let mut best = MatchResult {
             pose: initial,
-            score: self.score(grid, points, initial),
+            score: Self::score(grid, points, initial),
         };
         if points.is_empty() {
             return best;
         }
         let n_ang = (window.angular / self.angular_step).ceil() as i64;
         let n_lin = (window.linear / self.linear_step).ceil() as i64;
+        let n = points.len();
+        let origin = grid.origin();
+        let res = grid.resolution();
+        let (width, height) = (grid.width(), grid.height());
+        self.offsets.clear();
+        self.offsets
+            .extend((-n_lin..=n_lin).map(|i| i as f64 * self.linear_step));
+        let span = self.offsets.len();
+        // A valid row offset plus a valid column is below `width · height`;
+        // either marker pushes the sum to or past it, where the grid reads
+        // 0.5 just as `probability` does off the grid.
+        let off_grid = width * height;
+        // `scale · ⌊(v + d − o) / res⌋` for every offset `d`, or the marker
+        // where the cell index leaves `0..cells`.
+        let tabulate = |out: &mut [usize], offsets: &[f64], v: f64, o: f64, cells: usize, scale| {
+            for (slot, &d) in out.iter_mut().zip(offsets) {
+                let i = ((v + d - o) / res).floor() as i64;
+                *slot = if i >= 0 && (i as usize) < cells {
+                    i as usize * scale
+                } else {
+                    off_grid
+                };
+            }
+        };
+        self.cols.resize(n * span, 0);
+        self.rows.resize(n * span, 0);
+        self.totals.resize(span, 0.0);
         for ia in -n_ang..=n_ang {
             let theta = initial.theta + ia as f64 * self.angular_step;
-            // Rotate (and translate by the initial position) once per angle.
+            // Rotate (and translate by the initial position) once per
+            // angle, then tabulate every shifted column and row.
             let base = Pose2::new(initial.x, initial.y, theta);
-            let rotated: Vec<Point2> = points.iter().map(|&p| base.transform(p)).collect();
-            for ix in -n_lin..=n_lin {
-                let dx = ix as f64 * self.linear_step;
-                for iy in -n_lin..=n_lin {
-                    let dy = iy as f64 * self.linear_step;
-                    let mut total = 0.0;
-                    for &w in &rotated {
-                        let q = Point2::new(w.x + dx, w.y + dy);
-                        total += grid.probability(grid.world_to_index(q));
+            let tables = self
+                .cols
+                .chunks_exact_mut(span)
+                .zip(self.rows.chunks_exact_mut(span));
+            for (&p, (cols, rows)) in points.iter().zip(tables) {
+                let w = base.transform(p);
+                tabulate(cols, &self.offsets, w.x, origin.x, width, 1);
+                tabulate(rows, &self.offsets, w.y, origin.y, height, width);
+            }
+            for (kx, &dx) in self.offsets.iter().enumerate() {
+                // All `span` candidates of this x offset accumulate side by
+                // side, each over the points in order.
+                self.totals.fill(0.0);
+                let tables = self
+                    .cols
+                    .chunks_exact(span)
+                    .zip(self.rows.chunks_exact(span));
+                for (cols, rows) in tables {
+                    let col = cols[kx];
+                    for (total, &row) in self.totals.iter_mut().zip(rows) {
+                        *total += grid.probability_flat(row + col);
                     }
-                    let score = total / points.len() as f64;
+                }
+                for (&total, &dy) in self.totals.iter().zip(&self.offsets) {
+                    let score = total / n as f64;
                     if score > best.score {
                         best = MatchResult {
                             pose: Pose2::new(initial.x + dx, initial.y + dy, theta),
@@ -225,10 +320,9 @@ impl GaussNewtonRefiner {
                 break;
             }
         }
-        let matcher = CorrelativeScanMatcher::new(1.0, 1.0);
         MatchResult {
             pose,
-            score: matcher.score(grid, points, pose),
+            score: CorrelativeScanMatcher::score(grid, points, pose),
         }
     }
 }
@@ -236,7 +330,179 @@ impl GaussNewtonRefiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raceloc_core::sensor_data::LaserScan;
+    use proptest::prelude::*;
+    use raceloc_map::GridIndex;
+
+    /// The unfactored search the separable kernel replaced: every
+    /// candidate transforms and indexes every point itself. Kept as the
+    /// bitwise oracle of [`CorrelativeScanMatcher::match_scan`].
+    fn match_scan_reference(
+        m: &CorrelativeScanMatcher,
+        grid: &ProbabilityGrid,
+        points: &[Point2],
+        initial: Pose2,
+        window: SearchWindow,
+    ) -> MatchResult {
+        let mut best = MatchResult {
+            pose: initial,
+            score: CorrelativeScanMatcher::score(grid, points, initial),
+        };
+        if points.is_empty() {
+            return best;
+        }
+        let n_ang = (window.angular / m.angular_step).ceil() as i64;
+        let n_lin = (window.linear / m.linear_step).ceil() as i64;
+        for ia in -n_ang..=n_ang {
+            let theta = initial.theta + ia as f64 * m.angular_step;
+            let base = Pose2::new(initial.x, initial.y, theta);
+            let rotated: Vec<Point2> = points.iter().map(|&p| base.transform(p)).collect();
+            for ix in -n_lin..=n_lin {
+                let dx = ix as f64 * m.linear_step;
+                for iy in -n_lin..=n_lin {
+                    let dy = iy as f64 * m.linear_step;
+                    let mut total = 0.0;
+                    for &w in &rotated {
+                        let q = Point2::new(w.x + dx, w.y + dy);
+                        total += grid.probability(grid.world_to_index(q));
+                    }
+                    let score = total / points.len() as f64;
+                    if score > best.score {
+                        best = MatchResult {
+                            pose: Pose2::new(initial.x + dx, initial.y + dy, theta),
+                            score,
+                        };
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    fn assert_bitwise_eq(got: MatchResult, want: MatchResult) {
+        let bits = |r: MatchResult| {
+            [
+                r.pose.x.to_bits(),
+                r.pose.y.to_bits(),
+                r.pose.theta.to_bits(),
+                r.score.to_bits(),
+            ]
+        };
+        assert_eq!(bits(got), bits(want), "{got:?} vs {want:?}");
+    }
+
+    /// A 40 × 30 grid at `res` whose cells are a random mix of hit, missed
+    /// and never-observed (unknown) ones.
+    fn random_grid(res: f64, hits: &[(i64, i64)], misses: &[(i64, i64)]) -> ProbabilityGrid {
+        let mut g = ProbabilityGrid::new(40, 30, res, Point2::new(-1.0, -0.75));
+        for &(c, r) in hits {
+            g.apply_hit(GridIndex::new(c, r));
+        }
+        for &(c, r) in misses {
+            g.apply_miss(GridIndex::new(c, r));
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The separable kernel returns the reference search's result bit
+        /// for bit: random grids with unknown cells, initial poses near
+        /// and beyond the grid edge (so windows cross it), and linear steps
+        /// on and off the resolution. One matcher serves every case, so
+        /// its tables are reused across window and point-count changes.
+        #[test]
+        fn separable_search_matches_the_reference_bitwise(
+            hits in prop::collection::vec((0i64..40, 0i64..30), 0..400),
+            misses in prop::collection::vec((0i64..40, 0i64..30), 0..300),
+            points in prop::collection::vec((-1.5..1.5f64, -1.5..1.5f64), 0..50),
+            (x, y, theta) in (-1.4..1.4f64, -1.1..1.1f64, -3.2..3.2f64),
+            (res, linear_step) in prop_oneof![
+                Just((0.05, 0.05)),
+                Just((0.05, 0.03)),
+                Just((0.05, 0.07)),
+                Just((0.04, 0.05)),
+            ],
+            (linear, angular) in (0.0..0.3f64, 0.0..0.12f64),
+        ) {
+            let grid = random_grid(res, &hits, &misses);
+            let points: Vec<Point2> = points.iter().map(|&(px, py)| Point2::new(px, py)).collect();
+            let initial = Pose2::new(x, y, theta);
+            let window = SearchWindow { linear, angular };
+            let mut m = CorrelativeScanMatcher::new(linear_step, 0.015);
+            let want = match_scan_reference(&m, &grid, &points, initial, window);
+            assert_bitwise_eq(m.match_scan(&grid, &points, initial, window), want);
+            // A second search on the same matcher reuses its tables.
+            let shifted = Pose2::new(y, x, -theta);
+            let want = match_scan_reference(&m, &grid, &points, shifted, window);
+            assert_bitwise_eq(m.match_scan(&grid, &points, shifted, window), want);
+        }
+
+        /// The same bitwise agreement on the wide loop-closure window,
+        /// whose x and y offsets reach far past every grid edge.
+        #[test]
+        fn separable_search_matches_the_reference_on_the_loop_closure_window(
+            hits in prop::collection::vec((0i64..40, 0i64..30), 0..400),
+            points in prop::collection::vec((-1.5..1.5f64, -1.5..1.5f64), 1..12),
+            (x, y, theta) in (-1.0..1.0f64, -0.8..0.8f64, -3.2..3.2f64),
+        ) {
+            let grid = random_grid(0.05, &hits, &[]);
+            let points: Vec<Point2> = points.iter().map(|&(px, py)| Point2::new(px, py)).collect();
+            let initial = Pose2::new(x, y, theta);
+            let mut m = CorrelativeScanMatcher::new(0.05, 0.1);
+            let want = match_scan_reference(&m, &grid, &points, initial, SearchWindow::loop_closure());
+            let got = m.match_scan(&grid, &points, initial, SearchWindow::loop_closure());
+            assert_bitwise_eq(got, want);
+        }
+
+        /// The picking downsampler yields exactly the points that
+        /// converting every return and taking the strided copy did.
+        #[test]
+        fn downsample_matches_convert_then_stride_bitwise(
+            ranges in prop::collection::vec(
+                prop_oneof![Just(0.0), Just(10.0), Just(f64::INFINITY), 0.05..9.9f64],
+                0..300,
+            ),
+            max_points in 0usize..150,
+        ) {
+            let scan = LaserScan::new(-2.35, 0.0174, ranges, 10.0);
+            let all = scan.to_points();
+            let want: Vec<Point2> = if all.len() <= max_points {
+                all
+            } else {
+                let stride = all.len() as f64 / max_points as f64;
+                (0..max_points).map(|i| all[(i as f64 * stride) as usize]).collect()
+            };
+            let mut got = vec![Point2::new(7.0, 7.0); 3];
+            downsample_into(&scan, max_points, &mut got);
+            let bits = |v: &[Point2]| -> Vec<(u64, u64)> {
+                v.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    /// On the room map the kernel and the reference agree bit for bit with
+    /// the pure localizer's default window and steps, from the true pose
+    /// and from priors a few cells off.
+    #[test]
+    fn separable_search_matches_the_reference_on_the_room() {
+        let g = room_grid();
+        let pts = scan_points(Pose2::new(0.15, -0.1, 0.05));
+        let mut m = CorrelativeScanMatcher::new(0.05, 0.015);
+        for initial in [
+            Pose2::IDENTITY,
+            Pose2::new(0.15, -0.1, 0.05),
+            Pose2::new(-0.3, 0.2, -0.1),
+        ] {
+            let window = SearchWindow {
+                linear: 0.22,
+                angular: 0.09,
+            };
+            let want = match_scan_reference(&m, &g, &pts, initial, window);
+            assert_bitwise_eq(m.match_scan(&g, &pts, initial, window), want);
+        }
+    }
 
     /// Builds a probability grid of a square room by inserting noiseless
     /// scans from the center.
@@ -288,10 +554,9 @@ mod tests {
     #[test]
     fn score_is_high_at_truth_low_far_away() {
         let g = room_grid();
-        let m = CorrelativeScanMatcher::new(0.05, 0.02);
         let pts = scan_points(Pose2::IDENTITY);
-        let at_truth = m.score(&g, &pts, Pose2::IDENTITY);
-        let off = m.score(&g, &pts, Pose2::new(0.5, 0.3, 0.2));
+        let at_truth = CorrelativeScanMatcher::score(&g, &pts, Pose2::IDENTITY);
+        let off = CorrelativeScanMatcher::score(&g, &pts, Pose2::new(0.5, 0.3, 0.2));
         assert!(at_truth > 0.7, "{at_truth}");
         assert!(at_truth > off + 0.2, "{at_truth} vs {off}");
     }
@@ -299,7 +564,7 @@ mod tests {
     #[test]
     fn correlative_recovers_translation() {
         let g = room_grid();
-        let m = CorrelativeScanMatcher::new(0.05, 0.02);
+        let mut m = CorrelativeScanMatcher::new(0.05, 0.02);
         // The scan was really taken from (0.15, -0.1); start the search at
         // the origin.
         let true_pose = Pose2::new(0.15, -0.1, 0.0);
@@ -316,7 +581,7 @@ mod tests {
     #[test]
     fn correlative_recovers_rotation() {
         let g = room_grid();
-        let m = CorrelativeScanMatcher::new(0.05, 0.02);
+        let mut m = CorrelativeScanMatcher::new(0.05, 0.02);
         let true_pose = Pose2::new(0.0, 0.0, 0.08);
         let pts = scan_points(true_pose);
         let result = m.match_scan(&g, &pts, Pose2::IDENTITY, SearchWindow::tracking());
@@ -330,7 +595,7 @@ mod tests {
     #[test]
     fn empty_points_return_initial() {
         let g = room_grid();
-        let m = CorrelativeScanMatcher::new(0.05, 0.02);
+        let mut m = CorrelativeScanMatcher::new(0.05, 0.02);
         let init = Pose2::new(1.0, 1.0, 1.0);
         let r = m.match_scan(&g, &[], init, SearchWindow::tracking());
         assert_eq!(r.pose, init);
@@ -358,7 +623,7 @@ mod tests {
     #[test]
     fn refiner_improves_correlative_result() {
         let g = room_grid();
-        let m = CorrelativeScanMatcher::new(0.05, 0.02);
+        let mut m = CorrelativeScanMatcher::new(0.05, 0.02);
         let refiner = GaussNewtonRefiner::default();
         let true_pose = Pose2::new(0.13, 0.07, -0.04);
         let pts = scan_points(true_pose);

@@ -7,7 +7,9 @@ use std::borrow::Cow;
 use crate::loop_closure::{BranchAndBoundConfig, BranchAndBoundMatcher};
 use crate::pose_graph::{Constraint, PoseGraph};
 use crate::probgrid::ProbabilityGrid;
-use crate::scan_matcher::{CorrelativeScanMatcher, GaussNewtonRefiner, SearchWindow};
+use crate::scan_matcher::{
+    downsample_into, CorrelativeScanMatcher, GaussNewtonRefiner, SearchWindow,
+};
 use crate::submap::SubmapCollection;
 use raceloc_core::localizer::Localizer;
 use raceloc_core::sensor_data::{LaserScan, Odometry};
@@ -199,14 +201,9 @@ impl CartoSlam {
     }
 
     fn downsample(&self, scan: &LaserScan) -> Vec<Point2> {
-        let pts = scan.to_points();
-        if pts.len() <= self.config.max_points {
-            return pts;
-        }
-        let stride = pts.len() as f64 / self.config.max_points as f64;
-        (0..self.config.max_points)
-            .map(|i| pts[(i as f64 * stride) as usize])
-            .collect()
+        let mut points = Vec::new();
+        downsample_into(scan, self.config.max_points, &mut points);
+        points
     }
 
     fn try_loop_closure(&mut self) {
