@@ -1,17 +1,13 @@
 //! Per-file structural *facts*: everything the cross-file rules (R7, R8,
-//! R9) and the suppression machinery need to know about one source file,
-//! extracted once per content hash and cached by [`crate::cache`].
+//! R9) and the suppression machinery need to know about one source file.
 //!
 //! A [`FileFacts`] is a pure function of `(path, file contents)` — it
-//! never looks at other files — which is what makes the incremental scan
-//! sound: an unchanged file's facts can be reused verbatim, and only the
-//! cheap cross-file joins re-run on every pass.
-
-use raceloc_obs::Json;
+//! never looks at other files — so extraction is per file and only the
+//! cross-file joins in [`crate::crossfile`] see the whole tree.
 
 use crate::lex::{self, TokenKind};
 use crate::mask::MaskedFile;
-use crate::rules::{self, intern_rule, Severity, Violation};
+use crate::rules::{self, Severity, Violation};
 use crate::syntax::{Directive, Syntax};
 
 /// Telemetry write/read APIs whose first string-literal argument is a
@@ -376,281 +372,6 @@ fn extract_registry(
     }
 }
 
-// ---------------------------------------------------------------------
-// Cache (de)serialization. Hand-rolled over `raceloc_obs::Json`, like
-// every other persisted document in the workspace.
-// ---------------------------------------------------------------------
-
-fn severity_str(s: Severity) -> &'static str {
-    match s {
-        Severity::Deny => "deny",
-        Severity::Advisory => "advisory",
-        Severity::Ratchet => "ratchet",
-    }
-}
-
-fn severity_of(s: &str) -> Option<Severity> {
-    match s {
-        "deny" => Some(Severity::Deny),
-        "advisory" => Some(Severity::Advisory),
-        "ratchet" => Some(Severity::Ratchet),
-        _ => None,
-    }
-}
-
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn s(v: &str) -> Json {
-    Json::Str(v.to_string())
-}
-
-fn n(v: usize) -> Json {
-    Json::num(v as f64)
-}
-
-/// `u64` values round-trip as hex strings: `Json` numbers are `f64` and
-/// would silently lose precision above 2^53 (registry bounds use the full
-/// 64 bits).
-fn hex(v: u64) -> Json {
-    Json::Str(format!("{v:#x}"))
-}
-
-fn get_str(j: &Json, k: &str) -> Option<String> {
-    j.get(k).and_then(Json::as_str).map(str::to_string)
-}
-
-fn get_usize(j: &Json, k: &str) -> Option<usize> {
-    j.get(k).and_then(Json::as_u64).map(|v| v as usize)
-}
-
-fn get_hex(j: &Json, k: &str) -> Option<u64> {
-    j.get(k)
-        .and_then(Json::as_str)
-        .and_then(|v| v.strip_prefix("0x"))
-        .and_then(|v| u64::from_str_radix(v, 16).ok())
-}
-
-impl FileFacts {
-    /// Serializes to the cache's JSON value.
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            (
-                "violations",
-                Json::Arr(
-                    self.violations
-                        .iter()
-                        .map(|v| {
-                            obj(vec![
-                                ("file", s(&v.file)),
-                                ("line", n(v.line)),
-                                ("rule", s(v.rule)),
-                                ("message", s(&v.message)),
-                                ("severity", s(severity_str(v.severity))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "stream_sites",
-                Json::Arr(
-                    self.stream_sites
-                        .iter()
-                        .map(|t| {
-                            obj(vec![
-                                ("line", n(t.line)),
-                                ("key_text", s(&t.key_text)),
-                                (
-                                    "key_names",
-                                    Json::Arr(t.key_names.iter().map(|k| s(k)).collect()),
-                                ),
-                                ("in_test", Json::Bool(t.in_test)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "tel_sites",
-                Json::Arr(
-                    self.tel_sites
-                        .iter()
-                        .map(|t| {
-                            obj(vec![
-                                ("line", n(t.line)),
-                                ("api", s(&t.api)),
-                                ("name", s(&t.name)),
-                                ("in_test", Json::Bool(t.in_test)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "literals",
-                Json::Arr(
-                    self.literals
-                        .iter()
-                        .map(|(line, v)| Json::Arr(vec![n(*line), s(v)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "fns",
-                Json::Arr(
-                    self.fns
-                        .iter()
-                        .map(|f| {
-                            obj(vec![
-                                ("name", s(&f.name)),
-                                ("line", n(f.line)),
-                                ("steady", Json::Bool(f.steady)),
-                                ("in_test", Json::Bool(f.in_test)),
-                                (
-                                    "callees",
-                                    Json::Arr(f.callees.iter().map(|c| s(c)).collect()),
-                                ),
-                                (
-                                    "allocs",
-                                    Json::Arr(
-                                        f.allocs
-                                            .iter()
-                                            .map(|a| Json::Arr(vec![n(a.line), s(&a.what)]))
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "allows",
-                Json::Arr(
-                    self.allows
-                        .iter()
-                        .map(|a| {
-                            obj(vec![
-                                ("rule", s(&a.rule)),
-                                ("reason", s(&a.reason)),
-                                ("line", n(a.line)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "registry",
-                Json::Arr(
-                    self.registry
-                        .iter()
-                        .map(|r| {
-                            obj(vec![
-                                ("name", s(&r.name)),
-                                ("domain", s(&r.domain)),
-                                ("lo", hex(r.lo)),
-                                ("hi", hex(r.hi)),
-                                ("line", n(r.line)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Deserializes a cache value; `None` on any shape mismatch (the
-    /// caller re-extracts from source, so corruption only costs time).
-    pub fn from_json(j: &Json) -> Option<Self> {
-        let mut out = FileFacts::default();
-        for v in j.get("violations")?.as_array()? {
-            let sev = severity_of(&get_str(v, "severity")?)?;
-            out.violations.push(Violation {
-                file: get_str(v, "file")?,
-                line: get_usize(v, "line")?,
-                rule: intern_rule(&get_str(v, "rule")?),
-                message: get_str(v, "message")?,
-                severity: sev,
-            });
-        }
-        for t in j.get("stream_sites")?.as_array()? {
-            out.stream_sites.push(StreamSite {
-                line: get_usize(t, "line")?,
-                key_text: get_str(t, "key_text")?,
-                key_names: t
-                    .get("key_names")?
-                    .as_array()?
-                    .iter()
-                    .filter_map(|k| k.as_str().map(str::to_string))
-                    .collect(),
-                in_test: matches!(t.get("in_test"), Some(Json::Bool(true))),
-            });
-        }
-        for t in j.get("tel_sites")?.as_array()? {
-            out.tel_sites.push(TelSite {
-                line: get_usize(t, "line")?,
-                api: get_str(t, "api")?,
-                name: get_str(t, "name")?,
-                in_test: matches!(t.get("in_test"), Some(Json::Bool(true))),
-            });
-        }
-        for l in j.get("literals")?.as_array()? {
-            let pair = l.as_array()?;
-            out.literals.push((
-                pair.first()?.as_u64()? as usize,
-                pair.get(1)?.as_str()?.to_string(),
-            ));
-        }
-        for f in j.get("fns")?.as_array()? {
-            let mut allocs = Vec::new();
-            for a in f.get("allocs")?.as_array()? {
-                let pair = a.as_array()?;
-                allocs.push(AllocHit {
-                    line: pair.first()?.as_u64()? as usize,
-                    what: pair.get(1)?.as_str()?.to_string(),
-                });
-            }
-            out.fns.push(FnFacts {
-                name: get_str(f, "name")?,
-                line: get_usize(f, "line")?,
-                steady: matches!(f.get("steady"), Some(Json::Bool(true))),
-                in_test: matches!(f.get("in_test"), Some(Json::Bool(true))),
-                callees: f
-                    .get("callees")?
-                    .as_array()?
-                    .iter()
-                    .filter_map(|c| c.as_str().map(str::to_string))
-                    .collect(),
-                allocs,
-            });
-        }
-        for a in j.get("allows")?.as_array()? {
-            out.allows.push(AllowFact {
-                rule: get_str(a, "rule")?,
-                reason: get_str(a, "reason")?,
-                line: get_usize(a, "line")?,
-            });
-        }
-        for r in j.get("registry")?.as_array()? {
-            out.registry.push(RegistryFact {
-                name: get_str(r, "name")?,
-                domain: get_str(r, "domain")?,
-                lo: get_hex(r, "lo")?,
-                hi: get_hex(r, "hi")?,
-                line: get_usize(r, "line")?,
-            });
-        }
-        Some(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,27 +463,11 @@ mod tests {
     }
 
     #[test]
-    fn facts_round_trip_through_cache_json() {
-        let src = "// analyze:steady-state\nfn kernel(v: &mut Vec<u64>, seed: u64) {\n    v.push(Rng64::stream(seed, stream_keys::fault_scan(0)).next_u64());\n    tel.add(\"pf.motion\", 1); // analyze:allow(R8, reason = \"demo\")\n}\n";
-        let f = extract("crates/pf/src/x.rs", src);
-        assert!(!f.stream_sites.is_empty());
-        assert!(!f.tel_sites.is_empty());
-        assert!(!f.allows.is_empty());
-        let back = FileFacts::from_json(&f.to_json()).expect("round-trips");
-        assert_eq!(f, back);
-    }
-
-    #[test]
     fn registry_bounds_survive_the_full_u64_range() {
         let f = extract(
             "x.rs",
             "const R: [StreamNamespace; 1] = [StreamNamespace { name: \"w\", domain: \"m\", lo: 0x0, hi: 0xFFFF_FFFF_FFFF_FFFF }];\n",
         );
-        let back = FileFacts::from_json(&f.to_json()).expect("round-trips");
-        assert_eq!(
-            back.registry[0].hi,
-            u64::MAX,
-            "hex strings keep 64-bit precision"
-        );
+        assert_eq!(f.registry[0].hi, u64::MAX);
     }
 }

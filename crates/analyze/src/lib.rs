@@ -38,8 +38,7 @@
 //! violations live in a checked-in, ratcheted [`baseline`]
 //! (`analyze-baseline.json`): any *new* violation fails `--check`, stale
 //! allowances fail too until blessed with `--update-baseline`, and counts
-//! only go down. Per-file extraction is cached by content hash
-//! ([`cache`]), so a warm rescan re-lexes only edited files.
+//! only go down.
 //!
 //! Run locally with `cargo run -p raceloc-analyze -- --check`; add
 //! `--format sarif` or `--sarif <path>` for SARIF 2.1.0 output.
@@ -56,7 +55,6 @@
 //! ```
 
 pub mod baseline;
-pub mod cache;
 pub mod crossfile;
 pub mod facts;
 pub mod lex;
@@ -71,7 +69,6 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use baseline::Baseline;
-use cache::ScanCache;
 use crossfile::Catalog;
 use facts::{AllowFact, FileFacts};
 use report::Report;
@@ -80,16 +77,13 @@ use rules::Violation;
 /// Knobs for [`run_scan_with`].
 #[derive(Debug, Clone, Default)]
 pub struct ScanOptions {
-    /// Where the incremental cache lives; `None` scans cold and persists
-    /// nothing.
-    pub cache_path: Option<PathBuf>,
     /// Path of the telemetry catalog; defaults to
     /// `<root>/telemetry-catalog.json`.
     pub catalog_path: Option<PathBuf>,
 }
 
 /// Scans every workspace source under `root` and compares against
-/// `baseline`, producing the full [`Report`]. Cold (uncached) variant.
+/// `baseline`, producing the full [`Report`].
 ///
 /// # Errors
 ///
@@ -98,43 +92,24 @@ pub fn run_scan(root: &Path, baseline: &Baseline) -> std::io::Result<Report> {
     run_scan_with(root, baseline, &ScanOptions::default())
 }
 
-/// [`run_scan`] with an incremental cache and/or a custom catalog path.
+/// [`run_scan`] with a custom catalog path.
 ///
 /// # Errors
 ///
-/// Returns the first I/O error hit while reading sources. A missing or
-/// corrupt cache is not an error (the scan runs cold); a missing catalog
-/// is an R8 finding, not an error.
+/// Returns the first I/O error hit while reading sources. A missing
+/// catalog is an R8 finding, not an error.
 pub fn run_scan_with(
     root: &Path,
     baseline: &Baseline,
     opts: &ScanOptions,
 ) -> std::io::Result<Report> {
     let files = workspace::collect_sources(root)?;
-    let mut scan_cache = opts
-        .cache_path
-        .as_deref()
-        .map(ScanCache::load)
-        .unwrap_or_default();
+    let all_facts: Vec<(String, FileFacts)> = files
+        .iter()
+        .map(|(path, text)| (path.clone(), facts::extract(path, text)))
+        .collect();
 
-    // Per-file facts, from the cache when the content hash matches.
-    let mut files_relexed = 0usize;
-    let mut all_facts: Vec<(String, FileFacts)> = Vec::with_capacity(files.len());
-    for (path, text) in &files {
-        let hash = cache::fnv64(text);
-        let facts = match scan_cache.lookup(path, hash) {
-            Some(hit) => hit.clone(),
-            None => {
-                files_relexed += 1;
-                let fresh = facts::extract(path, text);
-                scan_cache.store(path, hash, fresh.clone());
-                fresh
-            }
-        };
-        all_facts.push((path.clone(), facts));
-    }
-
-    // Local findings plus the cross-file joins (cheap; run every pass).
+    // Local findings plus the cross-file joins.
     let mut violations: Vec<Violation> = all_facts
         .iter()
         .flat_map(|(_, f)| f.violations.iter().cloned())
@@ -171,19 +146,10 @@ pub fn run_scan_with(
     let sup = crossfile::apply_allows(&allows, violations);
     let verdict = baseline.compare(&sup.violations, sup.directives);
 
-    if let Some(path) = opts.cache_path.as_deref() {
-        let scanned: Vec<&str> = files.iter().map(|(p, _)| p.as_str()).collect();
-        scan_cache.retain_paths(&scanned);
-        // Persistence failures only cost the next run time, never
-        // correctness; surface nothing.
-        let _ = scan_cache.save(path);
-    }
-
     Ok(Report {
         violations: sup.violations,
         verdict,
         files_scanned: files.len(),
-        files_relexed,
         suppressions: sup.directives,
         suppressed_findings: sup.matched,
     })

@@ -8,12 +8,8 @@
 //! cargo run -p raceloc-analyze -- [--check] [--json <path>] [--advisory]
 //!                                 [--update-baseline] [--root <dir>]
 //!                                 [--baseline <path>] [--format human|sarif]
-//!                                 [--sarif <path>] [--cache <path>]
-//!                                 [--no-cache] [--catalog <path>]
+//!                                 [--sarif <path>] [--catalog <path>]
 //! ```
-//!
-//! The incremental cache defaults to `<root>/target/analyze-cache.json`
-//! (disable with `--no-cache`); it only affects scan time, never results.
 //!
 //! Exit codes: `0` clean (or report-only mode), `1` regressions or stale
 //! baseline entries under `--check`, `2` usage or I/O failure.
@@ -33,8 +29,6 @@ struct Options {
     format: Format,
     root: Option<PathBuf>,
     baseline_path: Option<PathBuf>,
-    cache_path: Option<PathBuf>,
-    no_cache: bool,
     catalog_path: Option<PathBuf>,
 }
 
@@ -54,8 +48,6 @@ fn parse_args() -> Result<Options, String> {
         format: Format::Human,
         root: None,
         baseline_path: None,
-        cache_path: None,
-        no_cache: false,
         catalog_path: None,
     };
     let mut args = std::env::args().skip(1);
@@ -69,12 +61,10 @@ fn parse_args() -> Result<Options, String> {
             "--check" => opts.check = true,
             "--advisory" => opts.advisory = true,
             "--update-baseline" => opts.update_baseline = true,
-            "--no-cache" => opts.no_cache = true,
             "--json" => opts.json_path = Some(path_arg("--json")?),
             "--sarif" => opts.sarif_path = Some(path_arg("--sarif")?),
             "--root" => opts.root = Some(path_arg("--root")?),
             "--baseline" => opts.baseline_path = Some(path_arg("--baseline")?),
-            "--cache" => opts.cache_path = Some(path_arg("--cache")?),
             "--catalog" => opts.catalog_path = Some(path_arg("--catalog")?),
             "--format" => {
                 opts.format = match args.next().as_deref() {
@@ -91,8 +81,7 @@ fn parse_args() -> Result<Options, String> {
                 return Err(
                     "usage: raceloc-analyze [--check] [--json <path>] [--advisory] \
                             [--update-baseline] [--root <dir>] [--baseline <path>] \
-                            [--format human|sarif] [--sarif <path>] [--cache <path>] \
-                            [--no-cache] [--catalog <path>]"
+                            [--format human|sarif] [--sarif <path>] [--catalog <path>]"
                         .to_string(),
                 );
             }
@@ -144,15 +133,6 @@ fn main() -> ExitCode {
     };
 
     let scan_opts = ScanOptions {
-        cache_path: if opts.no_cache {
-            None
-        } else {
-            Some(
-                opts.cache_path
-                    .clone()
-                    .unwrap_or_else(|| root.join("target/analyze-cache.json")),
-            )
-        },
         catalog_path: opts.catalog_path.clone(),
     };
     let report = match run_scan_with(&root, &baseline, &scan_opts) {

@@ -15,9 +15,6 @@ pub struct Report {
     pub verdict: Verdict,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// How many files were actually re-lexed this pass (the rest came
-    /// from the incremental cache).
-    pub files_relexed: usize,
     /// Total `analyze:allow` directives in the tree.
     pub suppressions: usize,
     /// How many findings those directives suppressed.
@@ -101,10 +98,9 @@ impl Report {
             ));
         }
         out.push_str(&format!(
-            "raceloc-analyze: {} file(s) ({} re-lexed), {} new violation(s), {} baselined, \
+            "raceloc-analyze: {} file(s), {} new violation(s), {} baselined, \
              {} stale entr{}, {} ratchet finding(s), {} suppression(s)\n",
             self.files_scanned,
-            self.files_relexed,
             self.verdict.new_violations.len(),
             self.verdict.baselined.len(),
             self.verdict.stale.len(),
@@ -168,10 +164,6 @@ impl Report {
             (
                 "files_scanned".to_string(),
                 Json::num(self.files_scanned as f64),
-            ),
-            (
-                "files_relexed".to_string(),
-                Json::num(self.files_relexed as f64),
             ),
             (
                 "new_violations".to_string(),
@@ -246,7 +238,6 @@ mod tests {
             violations,
             verdict,
             files_scanned: 2,
-            files_relexed: 2,
             suppressions: 1,
             suppressed_findings: 0,
         }
@@ -294,7 +285,6 @@ mod tests {
         let r = sample();
         let doc = Json::parse(&r.to_json()).expect("valid json");
         assert_eq!(doc.get("new_violations").and_then(Json::as_u64), Some(1));
-        assert_eq!(doc.get("files_relexed").and_then(Json::as_u64), Some(2));
         assert_eq!(doc.get("suppressions").and_then(Json::as_u64), Some(1));
         let findings = doc
             .get("findings")

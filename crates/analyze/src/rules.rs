@@ -35,22 +35,6 @@ pub enum Severity {
     Ratchet,
 }
 
-/// Every rule identifier the analyzer can emit, used to re-intern rule
-/// names read back from the incremental-scan cache ([`crate::cache`]).
-pub const ALL_RULES: [&str; 9] = ["R1", "R1-idx", "R2", "R3", "R4", "R7", "R8", "R9", "allow"];
-
-/// Maps a rule name to its canonical `&'static str` (cache entries store
-/// plain strings). Unknown names — a cache written by a different rules
-/// version — intern as `"R?"`, which never matches a baseline entry and
-/// therefore fails loudly instead of silently passing.
-pub fn intern_rule(name: &str) -> &'static str {
-    ALL_RULES
-        .iter()
-        .find(|r| **r == name)
-        .copied()
-        .unwrap_or("R?")
-}
-
 /// One finding at a specific source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {

@@ -10,7 +10,7 @@ use std::path::Path;
 use raceloc_analyze::baseline::Baseline;
 use raceloc_analyze::mask::MaskedFile;
 use raceloc_analyze::rules::{scan_file, Severity};
-use raceloc_analyze::{run_scan, run_scan_with, workspace, ScanOptions};
+use raceloc_analyze::{run_scan, workspace};
 
 fn repo_root() -> std::path::PathBuf {
     workspace::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
@@ -46,35 +46,6 @@ fn workspace_is_clean_against_the_checked_in_baseline() {
         "suspiciously few files scanned: {}",
         report.files_scanned
     );
-}
-
-#[test]
-fn warm_rescan_relexes_nothing_until_a_file_changes() {
-    let root = repo_root();
-    let baseline = checked_in_baseline(&root);
-    let cache = std::env::temp_dir().join(format!(
-        "raceloc-analyze-selfscan-{}.json",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&cache);
-    let opts = ScanOptions {
-        cache_path: Some(cache.clone()),
-        catalog_path: None,
-    };
-    let cold = run_scan_with(&root, &baseline, &opts).expect("cold scan");
-    assert_eq!(
-        cold.files_relexed, cold.files_scanned,
-        "first pass against an empty cache must lex everything"
-    );
-    let warm = run_scan_with(&root, &baseline, &opts).expect("warm scan");
-    assert_eq!(
-        warm.files_relexed, 0,
-        "nothing changed, so nothing should re-lex"
-    );
-    // Identical results either way.
-    assert_eq!(warm.violations.len(), cold.violations.len());
-    assert_eq!(warm.suppressions, cold.suppressions);
-    let _ = std::fs::remove_file(&cache);
 }
 
 #[test]

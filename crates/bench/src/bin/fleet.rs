@@ -4,8 +4,8 @@
 //! replicates, aggregated into per-cell success rates (Wilson 95%
 //! intervals), mean/p95 RMSE and lateral error, and recovery-latency
 //! distributions. `BENCH_fleet.json` is the checked-in artifact; it is
-//! byte-identical for every `--threads` value, every `--cache-dir`/
-//! `--journal` state, and every interrupt/resume split (DESIGN.md §15).
+//! byte-identical for every `--threads` value, every `--cache-dir`
+//! state, and every interrupt/resume split (DESIGN.md §15).
 //!
 //! Hard gates (exit code 1, the CI `fleet-smoke` job): the paper's
 //! qualitative localizer ordering — SynPF must beat Cartographer under
@@ -14,7 +14,11 @@
 //!
 //! Run with `cargo run -p raceloc-bench --release --bin fleet --
 //! [--quick] [--threads N] [--out BENCH_fleet.json] [--cache-dir DIR]
-//! [--journal FILE] [--stats-out FILE] [--stop-after-cells K]`.
+//! [--stats-out FILE] [--stop-after-cells K]`.
+//!
+//! An interrupted run (`--stop-after-cells`, or a killed process) resumes
+//! by running again with the same `--cache-dir`: every cell already
+//! stored there is a cache hit, and only the rest execute.
 //!
 //! The `diff` subcommand is the cross-PR accuracy gate (the CI
 //! `fleet-cache-smoke` job): `fleet diff BASELINE FRESH [--out FILE]`
@@ -34,7 +38,6 @@ struct Args {
     threads: usize,
     out: String,
     cache_dir: Option<String>,
-    journal: Option<String>,
     stats_out: Option<String>,
     stop_after_cells: Option<usize>,
 }
@@ -45,7 +48,6 @@ fn parse_args(argv: &[String]) -> Args {
         threads: env_threads(),
         out: "BENCH_fleet.json".to_string(),
         cache_dir: None,
-        journal: None,
         stats_out: None,
         stop_after_cells: None,
     };
@@ -72,7 +74,6 @@ fn parse_args(argv: &[String]) -> Args {
             }
             "--out" => args.out = value("--out", &mut it),
             "--cache-dir" => args.cache_dir = Some(value("--cache-dir", &mut it)),
-            "--journal" => args.journal = Some(value("--journal", &mut it)),
             "--stats-out" => args.stats_out = Some(value("--stats-out", &mut it)),
             "--stop-after-cells" => {
                 args.stop_after_cells = Some(
@@ -88,13 +89,25 @@ fn parse_args(argv: &[String]) -> Args {
             other => {
                 eprintln!(
                     "unknown argument {other:?} (known: --quick --threads --out --cache-dir \
-                     --journal --stats-out --stop-after-cells; subcommand: diff)"
+                     --stats-out --stop-after-cells; subcommand: diff)"
                 );
                 std::process::exit(2);
             }
         }
     }
     args
+}
+
+/// Rejects flag combinations that parse but cannot do what they ask.
+fn check_args(args: &Args) -> Result<(), String> {
+    if args.stop_after_cells.is_some() && args.cache_dir.is_none() {
+        return Err(
+            "--stop-after-cells needs --cache-dir: without the cell cache the \
+                    finished cells are lost and the run cannot resume"
+                .to_string(),
+        );
+    }
+    Ok(())
 }
 
 fn format_cell(c: &CellSummary) -> String {
@@ -171,6 +184,10 @@ fn main() {
         diff_main(&argv[1..]);
     }
     let args = parse_args(&argv);
+    if let Err(e) = check_args(&args) {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     let spec = fleet_spec(args.quick);
     println!(
         "Fleet evaluation — {} cells × {} replicates = {} closed-loop runs ({} threads)",
@@ -181,7 +198,6 @@ fn main() {
     );
     let mut opts = FleetRunOptions::new(args.threads);
     opts.cache_dir = args.cache_dir.map(Into::into);
-    opts.journal_path = args.journal.map(Into::into);
     opts.stop_after_cells = args.stop_after_cells;
     let (report, stats) = match run_fleet_with(&spec, &opts) {
         Ok(done) => done,
@@ -191,10 +207,9 @@ fn main() {
         }
     };
     println!(
-        "cells: {} total — {} from cache, {} from journal, {} executed ({} runs){}",
+        "cells: {} total — {} from cache, {} executed ({} runs){}",
         stats.cells_total,
         stats.cache_hits,
-        stats.journal_hits,
         stats.executed_cells,
         stats.executed_runs,
         if stats.stopped_early {
@@ -244,7 +259,7 @@ fn main() {
     // ordering gates only judge complete reports (the resumed run gates).
     if stats.stopped_early {
         println!("stopped after {} cells — gates skipped until resume", {
-            stats.cache_hits + stats.journal_hits + stats.executed_cells
+            stats.cache_hits + stats.executed_cells
         });
         return;
     }
@@ -256,4 +271,25 @@ fn main() {
         std::process::exit(1);
     }
     println!("all gates passed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Args {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn stop_after_cells_requires_a_cache_dir() {
+        let err = check_args(&parse(&["--quick", "--stop-after-cells", "18"]))
+            .expect_err("nothing would keep the finished cells");
+        assert!(err.contains("--cache-dir"), "{err}");
+        let resumable = parse(&["--stop-after-cells", "18", "--cache-dir", "d"]);
+        assert!(check_args(&resumable).is_ok());
+        assert!(check_args(&parse(&["--quick", "--cache-dir", "d"])).is_ok());
+        assert!(check_args(&parse(&["--quick"])).is_ok());
+    }
 }

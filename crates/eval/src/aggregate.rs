@@ -11,8 +11,8 @@
 //! every statistic is **fold-order-independent across cells** (per-cell
 //! state is independent; the fleet-wide counter rollup is a commutative
 //! `u64` sum), and within a cell outcomes fold in replicate order. A
-//! report assembled from any mix of cached, journaled, and freshly
-//! executed cells is byte-identical to a from-scratch run — rule R3
+//! report assembled from any mix of cached and freshly executed cells
+//! is byte-identical to a from-scratch run — rule R3
 //! extended to provenance (`tests/resume_equivalence.rs`).
 
 use raceloc_metrics::wilson95;

@@ -145,16 +145,6 @@ pub fn cell_hash(spec: &FleetSpec, key: CellKey) -> u64 {
     h.finish()
 }
 
-/// A whole-spec digest (the journal header's provenance field): the code
-/// fingerprint folded with every cell hash in canonical order.
-pub fn spec_hash(spec: &FleetSpec) -> u64 {
-    let mut h = Fnv64::new().u64(code_fingerprint());
-    for key in spec.cells() {
-        h = h.u64(cell_hash(spec, key));
-    }
-    h.finish()
-}
-
 /// Interns a counter name so deserialized outcomes can re-enter the
 /// `&'static str`-keyed telemetry machinery. The leak is bounded by the
 /// number of *distinct* counter names ever loaded (in practice the
@@ -244,8 +234,8 @@ impl CellCache {
     }
 }
 
-/// Serializes one cache entry (also the journal's per-cell payload).
-pub(crate) fn entry_json(hash: u64, outcomes: &[RunOutcome]) -> Json {
+/// Serializes one cache entry.
+fn entry_json(hash: u64, outcomes: &[RunOutcome]) -> Json {
     Json::Obj(vec![
         ("version".into(), Json::num(ENTRY_VERSION as f64)),
         ("cell_hash".into(), Json::Str(format!("{hash:016x}"))),
@@ -257,24 +247,13 @@ pub(crate) fn entry_json(hash: u64, outcomes: &[RunOutcome]) -> Json {
 }
 
 /// Parses one cache entry, validating version, hash echo, and run count.
-pub(crate) fn parse_entry(text: &str, hash: u64, expected_runs: usize) -> Option<Vec<RunOutcome>> {
+fn parse_entry(text: &str, hash: u64, expected_runs: usize) -> Option<Vec<RunOutcome>> {
     let doc = Json::parse(text.trim_end()).ok()?;
-    parse_entry_doc(&doc, Some(hash), expected_runs)
-}
-
-/// Parses an already-parsed entry document. `hash` of `None` skips the
-/// hash-echo check and returns outcomes for whatever hash the entry
-/// declares (the journal loader's mode; it indexes by the declared hash).
-pub(crate) fn parse_entry_doc(
-    doc: &Json,
-    hash: Option<u64>,
-    expected_runs: usize,
-) -> Option<Vec<RunOutcome>> {
     if doc.get("version").and_then(Json::as_u64) != Some(ENTRY_VERSION) {
         return None;
     }
-    let declared = entry_doc_hash(doc)?;
-    if hash.is_some_and(|h| h != declared) {
+    let hex = doc.get("cell_hash").and_then(Json::as_str)?;
+    if u64::from_str_radix(hex, 16).ok()? != hash {
         return None;
     }
     let rows = doc.get("outcomes").and_then(Json::as_array)?;
@@ -285,12 +264,6 @@ pub(crate) fn parse_entry_doc(
         .enumerate()
         .map(|(pos, row)| RunOutcome::from_cache_json(row, pos))
         .collect()
-}
-
-/// The hash a parsed entry document declares.
-pub(crate) fn entry_doc_hash(doc: &Json) -> Option<u64> {
-    let hex = doc.get("cell_hash").and_then(Json::as_str)?;
-    u64::from_str_radix(hex, 16).ok()
 }
 
 #[cfg(test)]
@@ -348,7 +321,6 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), hashes.len(), "distinct cells, distinct hashes");
-        assert_eq!(spec_hash(&spec), spec_hash(&spec));
     }
 
     #[test]
@@ -384,7 +356,6 @@ mod tests {
         for key in spec.cells() {
             assert_eq!(cell_hash(&spec, key), cell_hash(&extended, key));
         }
-        assert_ne!(spec_hash(&spec), spec_hash(&extended));
     }
 
     #[test]

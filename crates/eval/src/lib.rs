@@ -68,17 +68,15 @@ pub mod aggregate;
 pub mod cache;
 pub mod diff;
 pub mod gates;
-pub mod journal;
 pub mod runner;
 pub mod spec;
 
 pub use aggregate::{
     CellAggregator, CellSummary, FleetReport, ReportBuilder, ReportError, ERROR_BOUNDS_CM,
 };
-pub use cache::{cell_hash, code_fingerprint, spec_hash, CellCache, Fnv64, RESULT_REVISION};
+pub use cache::{cell_hash, code_fingerprint, CellCache, Fnv64, RESULT_REVISION};
 pub use diff::{diff_reports, ReportDiff};
 pub use gates::{ordering_violations, NOMINAL_SCENARIO, SLIP_SCENARIO};
-pub use journal::RunJournal;
 pub use runner::{
     execute_run, run_fleet, run_fleet_with, FleetCtx, FleetError, FleetRunOptions, FleetRunStats,
     MapResources, RunOutcome,

@@ -24,8 +24,7 @@ use raceloc_sim::{SimLog, World, WorldConfig};
 use raceloc_slam::{CartoLocalizer, CartoLocalizerConfig, SlamHealthPolicy};
 
 use crate::aggregate::{FleetReport, ReportBuilder};
-use crate::cache::{cell_hash, intern_counter, spec_hash, CellCache};
-use crate::journal::RunJournal;
+use crate::cache::{cell_hash, intern_counter, CellCache};
 use crate::spec::{EvalMethod, FleetSpec, RunDesc, SpecError};
 
 /// Shared immutable resources of one evaluation map: built once per
@@ -109,7 +108,7 @@ pub struct RunOutcome {
     pub counters: Vec<(&'static str, u64)>,
 }
 
-/// Serializes a float for the cache/journal layer, where non-finite
+/// Serializes a float for the cache layer, where non-finite
 /// values must survive the trip (the report layer's `Json::num` maps them
 /// to `null`, which is fine for rendering but lossy for replay).
 fn float_json(v: f64) -> Json {
@@ -138,7 +137,7 @@ fn float_from(doc: &Json, key: &str) -> Option<f64> {
 }
 
 impl RunOutcome {
-    /// Serializes the outcome for the cell cache / journal (stable key
+    /// Serializes the outcome for the cell cache (stable key
     /// order). The run `index` is deliberately omitted: it names a slot in
     /// *this* spec's run numbering, which shifts when axes are edited —
     /// cached outcomes are positional (replicate order) and get re-indexed
@@ -415,14 +414,13 @@ pub struct FleetRunOptions {
     /// Worker-pool width (clamped to at least 1).
     pub threads: usize,
     /// Content-addressed cell cache directory; `None` disables caching.
+    /// Rerunning an interrupted fleet against the same directory resumes
+    /// it: every cell stored before the interrupt is a cache hit.
     pub cache_dir: Option<PathBuf>,
-    /// Append-only journal of completed cells; `None` disables
-    /// checkpointing/resume.
-    pub journal_path: Option<PathBuf>,
-    /// Stop after this many cells are complete (cached, journaled, or
-    /// executed — any provenance counts); the rest of the report is
-    /// `missing` rows. `None` runs to completion. This is the
-    /// interruption primitive the resume tests drive.
+    /// Stop after this many cells are complete (cached or executed — any
+    /// provenance counts); the rest of the report is `missing` rows.
+    /// `None` runs to completion. This is the interruption primitive the
+    /// resume tests drive.
     pub stop_after_cells: Option<usize>,
 }
 
@@ -449,8 +447,6 @@ pub struct FleetRunStats {
     pub cache_hits: u64,
     /// Cells written to the cache this invocation.
     pub cache_stores: u64,
-    /// Cells satisfied from the resume journal.
-    pub journal_hits: u64,
     /// Cells actually executed.
     pub executed_cells: u64,
     /// Runs actually executed.
@@ -461,12 +457,11 @@ pub struct FleetRunStats {
 
 impl FleetRunStats {
     /// Books the invocation's provenance counters into a telemetry handle
-    /// under the cataloged `eval.cache.*` / `eval.resume.*` names.
+    /// under the cataloged `eval.cache.*` names.
     pub fn publish(&self, tel: &Telemetry) {
         tel.add("eval.cache.hits", self.cache_hits);
         tel.add("eval.cache.misses", self.executed_cells);
         tel.add("eval.cache.stores", self.cache_stores);
-        tel.add("eval.resume.cells", self.journal_hits);
     }
 
     /// Serializes the stats (stable key order).
@@ -475,7 +470,6 @@ impl FleetRunStats {
             ("cells_total".into(), Json::num(self.cells_total as f64)),
             ("cache_hits".into(), Json::num(self.cache_hits as f64)),
             ("cache_stores".into(), Json::num(self.cache_stores as f64)),
-            ("journal_hits".into(), Json::num(self.journal_hits as f64)),
             (
                 "executed_cells".into(),
                 Json::num(self.executed_cells as f64),
@@ -493,7 +487,7 @@ impl FleetRunStats {
 pub enum FleetError {
     /// The spec failed validation.
     Spec(SpecError),
-    /// A cache or journal I/O failure.
+    /// A cache I/O failure.
     Io {
         /// The path involved.
         path: PathBuf,
@@ -528,16 +522,16 @@ fn io_err(path: &std::path::Path, e: std::io::Error) -> FleetError {
     }
 }
 
-/// Runs a fleet through the scale-out engine: resolves every cell from
-/// the journal, then the cache, and executes only what is left, in
-/// canonical-order waves over a [`WorkerPool`]. Completed cells are
-/// checkpointed (cache + journal) as each wave lands, so an interrupt
-/// loses at most one wave. Returns the report plus this invocation's
-/// provenance stats.
+/// Runs a fleet through the scale-out engine: resolves every cell it can
+/// from the cache and executes only what is left, in canonical-order
+/// waves over a [`WorkerPool`]. Completed cells are stored in the cache
+/// as each wave lands, so an interrupt loses at most one wave and a rerun
+/// over the same cache directory resumes the fleet. Returns the report
+/// plus this invocation's provenance stats.
 ///
 /// The report is byte-identical for any pool width, any wave boundary,
-/// and any mix of cached/journaled/executed cells — the engine only
-/// changes *where* outcomes come from, never what they are.
+/// and any mix of cached/executed cells — the engine only changes
+/// *where* outcomes come from, never what they are.
 pub fn run_fleet_with(
     spec: &FleetSpec,
     opts: &FleetRunOptions,
@@ -551,46 +545,20 @@ pub fn run_fleet_with(
     };
 
     let hashes: Vec<u64> = cells.iter().map(|&key| cell_hash(spec, key)).collect();
-    let mut journaled = match &opts.journal_path {
-        Some(path) => RunJournal::load(path, replicates),
-        None => std::collections::BTreeMap::new(),
-    };
     let cache = match &opts.cache_dir {
         Some(dir) => Some(CellCache::open(dir).map_err(|e| io_err(dir, e))?),
         None => None,
     };
-    let mut journal = match &opts.journal_path {
-        Some(path) => {
-            Some(RunJournal::open(path, &spec.name, spec_hash(spec)).map_err(|e| io_err(path, e))?)
-        }
-        None => None,
-    };
 
-    // Resolve what persistence already has. Journal first: it is the
-    // record of *this* run id's completed work, and a hit there must not
-    // also count as a cache hit.
+    // Resolve what the cache already has.
     let mut builder = ReportBuilder::new(spec);
-    let mut resolved = 0usize;
     let mut pending: Vec<usize> = Vec::new();
     for (cell, &hash) in hashes.iter().enumerate() {
-        let outcomes = match journaled.remove(&hash) {
+        match cache.as_ref().and_then(|c| c.load(hash, replicates)) {
             Some(outcomes) => {
-                stats.journal_hits += 1;
-                Some(outcomes)
-            }
-            None => match cache.as_ref().and_then(|c| c.load(hash, replicates)) {
-                Some(outcomes) => {
-                    stats.cache_hits += 1;
-                    Some(outcomes)
-                }
-                None => None,
-            },
-        };
-        match outcomes {
-            Some(outcomes) => {
+                stats.cache_hits += 1;
                 let slots: Vec<Option<RunOutcome>> = outcomes.into_iter().map(Some).collect();
                 builder.fold_cell(cell, &slots);
-                resolved += 1;
             }
             None => pending.push(cell),
         }
@@ -599,7 +567,7 @@ pub fn run_fleet_with(
     // Apply the interruption budget: cells beyond it stay missing.
     let budget = opts
         .stop_after_cells
-        .map(|limit| limit.saturating_sub(resolved))
+        .map(|limit| limit.saturating_sub(stats.cache_hits as usize))
         .unwrap_or(pending.len());
     if budget < pending.len() {
         stats.stopped_early = true;
@@ -609,7 +577,7 @@ pub fn run_fleet_with(
         builder.fold_missing_cell(cell);
     }
 
-    // Execute the remainder in canonical-order waves, checkpointing each
+    // Execute the remainder in canonical-order waves, storing each
     // completed wave before starting the next. The pool (and the
     // expensive per-map artifact builds) only exist when something
     // actually runs — a fully cached invocation never touches them.
@@ -659,20 +627,15 @@ pub fn run_fleet_with(
                 stats.executed_runs += outcomes.iter().flatten().count() as u64;
                 // Only complete cells are durable: a cell with a missing
                 // outcome must re-run next time, not replay a hole.
-                if outcomes.iter().all(Option::is_some) {
-                    let complete: Vec<RunOutcome> = outcomes.iter().flatten().cloned().collect();
-                    if let Some(cache) = &cache {
+                if let Some(cache) = &cache {
+                    if outcomes.iter().all(Option::is_some) {
+                        let complete: Vec<RunOutcome> =
+                            outcomes.iter().flatten().cloned().collect();
                         let hash = hashes.get(cell).copied().unwrap_or(0);
                         cache
                             .store(hash, &complete)
                             .map_err(|e| io_err(cache.dir(), e))?;
                         stats.cache_stores += 1;
-                    }
-                    if let Some(journal) = journal.as_mut() {
-                        let hash = hashes.get(cell).copied().unwrap_or(0);
-                        journal
-                            .append_cell(hash, &complete)
-                            .map_err(|e| io_err(journal.path(), e))?;
                     }
                 }
                 builder.fold_cell(cell, outcomes);
@@ -692,7 +655,7 @@ pub fn run_fleet(spec: &FleetSpec, threads: usize) -> Result<FleetReport, SpecEr
     match run_fleet_with(spec, &FleetRunOptions::new(threads)) {
         Ok((report, _)) => Ok(report),
         Err(FleetError::Spec(e)) => Err(e),
-        // Unreachable without cache/journal options, but mapped anyway.
+        // Unreachable without a cache directory, but mapped anyway.
         Err(e @ FleetError::Io { .. }) => Err(SpecError::new(e.to_string())),
     }
 }

@@ -6,7 +6,7 @@
 //! it back never invalidates a single cache entry.
 
 use proptest::prelude::*;
-use raceloc_eval::{cell_hash, spec_hash, EvalMethod, FleetSpec, GripSpec, MapSpec, ScenarioSpec};
+use raceloc_eval::{cell_hash, EvalMethod, FleetSpec, GripSpec, MapSpec, ScenarioSpec};
 use raceloc_faults::FaultSchedule;
 
 /// Raw draw for one scenario: `(seed, kind, start, len, factor, budget)`.
@@ -131,7 +131,6 @@ proptest! {
     fn round_trip_preserves_every_cell_hash(spec in arb_spec()) {
         let parsed = FleetSpec::from_json_str(&format!("{}", spec.to_json()))
             .expect("own JSON parses");
-        prop_assert_eq!(spec_hash(&parsed), spec_hash(&spec));
         for key in spec.cells() {
             prop_assert_eq!(
                 cell_hash(&parsed, key),

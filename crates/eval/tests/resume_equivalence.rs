@@ -1,13 +1,14 @@
 //! Resume equivalence (DESIGN.md §15): a fleet run interrupted after K of
-//! N cells and resumed from its journal produces a final report
-//! byte-identical to an uninterrupted run — at every worker-pool width,
-//! and even when the interrupt and the resume use different widths.
+//! N cells and rerun over the same cell-cache directory produces a final
+//! report byte-identical to an uninterrupted run — at every worker-pool
+//! width, even when the interrupt and the resume use different widths,
+//! and even when the interrupt tore a cache store in half.
 
 use std::path::{Path, PathBuf};
 
 use raceloc_eval::{
-    run_fleet, run_fleet_with, EvalMethod, FleetRunOptions, FleetSpec, GripSpec, MapSpec,
-    RunJournal, ScenarioSpec,
+    cell_hash, run_fleet, run_fleet_with, CellCache, EvalMethod, FleetRunOptions, FleetSpec,
+    GripSpec, MapSpec, ScenarioSpec,
 };
 use raceloc_faults::FaultSchedule;
 
@@ -59,19 +60,31 @@ fn micro_spec() -> FleetSpec {
     }
 }
 
-fn temp_journal(tag: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "raceloc-resume-equivalence-{tag}-{}.jsonl",
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "raceloc-resume-equivalence-{tag}-{}",
         std::process::id()
     ));
-    let _ = std::fs::remove_file(&path);
-    path
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
-fn journal_opts(path: &Path, threads: usize) -> FleetRunOptions {
+fn cached_opts(dir: &Path, threads: usize) -> FleetRunOptions {
     let mut opts = FleetRunOptions::new(threads);
-    opts.journal_path = Some(path.to_path_buf());
+    opts.cache_dir = Some(dir.to_path_buf());
     opts
+}
+
+/// Runs `spec` over `dir` at `threads` workers, stopping after `k` cells.
+fn interrupt(spec: &FleetSpec, dir: &Path, threads: usize, k: usize) {
+    let mut opts = cached_opts(dir, threads);
+    opts.stop_after_cells = Some(k);
+    let (partial, stats) = run_fleet_with(spec, &opts).expect("interrupted run");
+    assert!(stats.stopped_early);
+    assert_eq!(stats.executed_cells, k as u64);
+    assert_eq!(stats.cache_stores, k as u64);
+    // The skipped cells are reported as missing, not dropped.
+    assert_eq!(partial.cells.len(), spec.cells().len());
 }
 
 #[test]
@@ -81,34 +94,26 @@ fn interrupt_then_resume_is_byte_identical_at_every_pool_width() {
     let uninterrupted = format!("{}", run_fleet(&spec, 1).expect("valid spec").to_json());
 
     for threads in [1usize, 2, 4] {
-        for stop_after in [1usize, cells - 1] {
-            let journal = temp_journal(&format!("t{threads}-k{stop_after}"));
+        for k in 1..cells {
+            let dir = temp_dir(&format!("t{threads}-k{k}"));
+            interrupt(&spec, &dir, threads, k);
 
-            let mut partial_opts = journal_opts(&journal, threads);
-            partial_opts.stop_after_cells = Some(stop_after);
-            let (partial, partial_stats) =
-                run_fleet_with(&spec, &partial_opts).expect("interrupted run");
-            assert!(partial_stats.stopped_early);
-            assert_eq!(partial_stats.executed_cells, stop_after as u64);
-            // The skipped cells are reported as missing, not dropped.
-            assert_eq!(partial.cells.len(), cells);
-
-            let (resumed, resumed_stats) =
-                run_fleet_with(&spec, &journal_opts(&journal, threads)).expect("resumed run");
-            assert!(!resumed_stats.stopped_early);
-            assert_eq!(resumed_stats.journal_hits, stop_after as u64);
+            let (resumed, stats) =
+                run_fleet_with(&spec, &cached_opts(&dir, threads)).expect("resumed run");
+            assert!(!stats.stopped_early);
+            assert_eq!(stats.cache_hits, k as u64);
             assert_eq!(
-                resumed_stats.executed_cells,
-                (cells - stop_after) as u64,
+                stats.executed_cells,
+                (cells - k) as u64,
                 "resume re-runs only the unfinished cells"
             );
             assert_eq!(
                 uninterrupted,
                 format!("{}", resumed.to_json()),
-                "threads={threads} stop_after={stop_after}: resumed report drifted"
+                "threads={threads} k={k}: resumed report drifted"
             );
 
-            let _ = std::fs::remove_file(&journal);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -117,66 +122,58 @@ fn interrupt_then_resume_is_byte_identical_at_every_pool_width() {
 fn resume_at_a_different_pool_width_than_the_interrupt() {
     let spec = micro_spec();
     let uninterrupted = format!("{}", run_fleet(&spec, 2).expect("valid spec").to_json());
-    let journal = temp_journal("cross-width");
-
-    let mut partial_opts = journal_opts(&journal, 1);
-    partial_opts.stop_after_cells = Some(2);
-    run_fleet_with(&spec, &partial_opts).expect("interrupted at 1 thread");
+    let dir = temp_dir("cross-width");
+    interrupt(&spec, &dir, 1, 2);
 
     let (resumed, stats) =
-        run_fleet_with(&spec, &journal_opts(&journal, 4)).expect("resumed at 4 threads");
-    assert_eq!(stats.journal_hits, 2);
+        run_fleet_with(&spec, &cached_opts(&dir, 4)).expect("resumed at 4 threads");
+    assert_eq!(stats.cache_hits, 2);
     assert_eq!(
         uninterrupted,
         format!("{}", resumed.to_json()),
-        "journal entries must be width-agnostic"
+        "cache entries must be width-agnostic"
     );
 
-    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn second_resume_executes_nothing() {
+fn a_store_torn_by_a_kill_is_a_miss_that_reruns_only_its_cell() {
     let spec = micro_spec();
-    let journal = temp_journal("idempotent");
     let cells = spec.cells().len() as u64;
+    let replicates = spec.replicates as usize;
+    let dir = temp_dir("torn");
+    let (full, _) = run_fleet_with(&spec, &cached_opts(&dir, 2)).expect("full run");
+    let uninterrupted = format!("{}", full.to_json());
 
-    let (first, _) = run_fleet_with(&spec, &journal_opts(&journal, 2)).expect("first full run");
-    let (second, stats) = run_fleet_with(&spec, &journal_opts(&journal, 2)).expect("second run");
-    assert_eq!(stats.journal_hits, cells, "everything replays from journal");
-    assert_eq!(stats.executed_cells, 0);
-    assert_eq!(
-        format!("{}", first.to_json()),
-        format!("{}", second.to_json())
+    // What a kill mid-store can leave: a stale temp file, and an entry
+    // torn short (a filesystem that does not rename atomically).
+    let hash = cell_hash(&spec, spec.cells()[1]);
+    let entry = dir.join(format!("cell-{hash:016x}.json"));
+    let tmp = dir.join(format!("cell-{hash:016x}.json.tmp"));
+    let text = std::fs::read_to_string(&entry).expect("stored entry");
+    std::fs::write(&entry, &text[..text.len() / 2]).expect("truncate entry");
+    std::fs::write(&tmp, &text[..text.len() / 3]).expect("stale temp file");
+    let cache = CellCache::open(&dir).expect("cache dir");
+    assert!(
+        cache.load(hash, replicates).is_none(),
+        "torn entry is a miss"
     );
 
-    let _ = std::fs::remove_file(&journal);
-}
-
-#[test]
-fn journal_from_an_edited_spec_is_ignored() {
-    let spec = micro_spec();
-    let journal = temp_journal("stale");
-    let mut partial_opts = journal_opts(&journal, 2);
-    partial_opts.stop_after_cells = Some(2);
-    run_fleet_with(&spec, &partial_opts).expect("interrupted run");
-
-    // Reseeding changes every cell hash, so the stale journal contributes
-    // nothing and the edited spec runs fresh end to end.
-    let mut edited = spec.clone();
-    edited.master_seed += 1;
-    let (report, stats) = run_fleet_with(&edited, &journal_opts(&journal, 2)).expect("edited run");
+    let (resumed, stats) = run_fleet_with(&spec, &cached_opts(&dir, 2)).expect("rerun");
+    assert_eq!(stats.cache_hits, cells - 1);
+    assert_eq!(stats.executed_cells, 1, "only the torn cell re-runs");
+    assert_eq!(stats.cache_stores, 1);
+    assert_eq!(uninterrupted, format!("{}", resumed.to_json()));
     assert_eq!(
-        stats.journal_hits, 0,
-        "stale journal entries must not match"
+        std::fs::read_to_string(&entry).expect("rewritten entry"),
+        text,
+        "the rerun overwrites the torn entry"
     );
-    assert_eq!(stats.executed_cells, edited.cells().len() as u64);
-    let fresh = format!("{}", run_fleet(&edited, 2).expect("valid spec").to_json());
-    assert_eq!(fresh, format!("{}", report.to_json()));
+    assert!(
+        !tmp.exists(),
+        "the rerun's store renames over the stale temp file"
+    );
 
-    // Sanity: the journal loader itself still parses the (mixed) file.
-    let loaded = RunJournal::load(&journal, spec.replicates as usize);
-    assert!(!loaded.is_empty());
-
-    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -108,7 +108,7 @@ mod tests {
     }
 
     #[test]
-    fn layout_ignores_everything_but_items_and_chunk_min() {
+    fn layout_depends_only_on_items_and_minimum_chunk_size() {
         // The whole determinism argument: the layout is a pure function.
         let a: Vec<_> = chunk_spans(1200, 64).collect();
         let b: Vec<_> = chunk_spans(1200, 64).collect();

@@ -180,9 +180,6 @@ impl SynPfConfig {
         if self.threads == 0 {
             return Err(err("threads", "must be at least 1"));
         }
-        if self.chunk_min == 0 {
-            return Err(err("chunk_min", "must be at least 1"));
-        }
         match self.motion {
             MotionConfig::DiffDrive(m) => {
                 check_noise("motion.alpha1", m.alpha1)?;
@@ -291,12 +288,6 @@ impl SynPfConfigBuilder {
     /// Worker threads for the particle pipeline.
     pub fn threads(mut self, v: usize) -> Self {
         self.0.threads = v;
-        self
-    }
-
-    /// Minimum particles per pipeline chunk (DESIGN.md §11).
-    pub fn chunk_min(mut self, v: usize) -> Self {
-        self.0.chunk_min = v;
         self
     }
 
@@ -498,19 +489,7 @@ mod tests {
             SynPfConfig::builder().threads(0).build().unwrap_err().field,
             "threads"
         );
-        assert_eq!(
-            SynPfConfig::builder()
-                .chunk_min(0)
-                .build()
-                .unwrap_err()
-                .field,
-            "chunk_min"
-        );
-        assert!(SynPfConfig::builder()
-            .chunk_min(32)
-            .threads(4)
-            .build()
-            .is_ok());
+        assert!(SynPfConfig::builder().threads(4).build().is_ok());
     }
 
     #[test]

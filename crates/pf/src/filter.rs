@@ -78,12 +78,6 @@ pub struct SynPfConfig {
     /// and RNG streams never depend on this value, so results are
     /// bit-identical for any thread count.
     pub threads: usize,
-    /// Minimum particles per pipeline chunk (DESIGN.md §11): the particle
-    /// set is split into `clamp(particles / chunk_min, 1, 64)` chunks for
-    /// both motion sampling and the fused cast+weight kernel. Smaller
-    /// values expose more parallelism; larger values cut per-chunk
-    /// overhead. Must be positive.
-    pub chunk_min: usize,
     /// Optional KLD-adaptive particle counts (Fox 2003): when set, each
     /// resampling step resizes the particle set to the KLD bound for the
     /// cloud's current histogram occupancy, between the configured bounds.
@@ -130,7 +124,6 @@ impl Default for SynPfConfig {
             lidar_mount: Pose2::new(0.1, 0.0, 0.0),
             motion: MotionConfig::Tum(TumMotionModel::default()),
             threads: 1,
-            chunk_min: DEFAULT_CHUNK_MIN,
             kld: None,
             recovery: None,
             health: None,
@@ -279,7 +272,7 @@ impl SynPf<Arc<MapArtifacts>> {
     ///
     /// # Panics
     ///
-    /// Panics when `particles == 0`, `squash <= 0`, or `chunk_min == 0`.
+    /// Panics when `particles == 0` or `squash <= 0`.
     ///
     /// # Examples
     ///
@@ -322,11 +315,10 @@ impl<M: RangeMethod + 'static> SynPf<M> {
     ///
     /// # Panics
     ///
-    /// Panics when `particles == 0`, `squash <= 0`, or `chunk_min == 0`.
+    /// Panics when `particles == 0` or `squash <= 0`.
     pub fn new(caster: M, config: SynPfConfig) -> Self {
         assert!(config.particles > 0, "particle count must be positive");
         assert!(config.squash > 0.0, "squash divisor must be positive");
-        assert!(config.chunk_min > 0, "chunk_min must be positive");
         let sensor = BeamSensorModel::new(config.beam_model, caster.max_range());
         let n = config.particles;
         let rng = Rng64::new(config.seed);
@@ -882,9 +874,9 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
         self.motion_epoch += 1;
         let n = self.store.len();
         if self.config.threads > 1 {
-            let chunks = chunk_count(n, self.config.chunk_min);
+            let chunks = chunk_count(n, DEFAULT_CHUNK_MIN);
             self.prepare_jobs(chunks);
-            for (idx, span) in chunk_spans(n, self.config.chunk_min).enumerate() {
+            for (idx, span) in chunk_spans(n, DEFAULT_CHUNK_MIN).enumerate() {
                 let job = &mut self.jobs[idx];
                 job.kind = JobKind::Motion;
                 job.load_particles(&self.store, span);
@@ -911,10 +903,9 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
             let motion = self.config.motion;
             let seed = self.config.seed;
             let epoch = self.motion_epoch;
-            let chunk_min = self.config.chunk_min;
             let twist = odom.twist;
             let (x, y, theta, cos_t, sin_t) = self.store.lanes_mut();
-            for (idx, span) in chunk_spans(n, chunk_min).enumerate() {
+            for (idx, span) in chunk_spans(n, DEFAULT_CHUNK_MIN).enumerate() {
                 let mut rng = Rng64::stream(seed, stream_keys::pf_motion(epoch, idx as u64));
                 let (s, e) = (span.start, span.end);
                 motion_kernel(
@@ -1037,9 +1028,9 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
         self.log_w.clear();
         self.log_w.resize(n, 0.0);
         if self.config.threads > 1 {
-            let chunks = chunk_count(n, self.config.chunk_min);
+            let chunks = chunk_count(n, DEFAULT_CHUNK_MIN);
             self.prepare_jobs(chunks);
-            for (idx, span) in chunk_spans(n, self.config.chunk_min).enumerate() {
+            for (idx, span) in chunk_spans(n, DEFAULT_CHUNK_MIN).enumerate() {
                 let job = &mut self.jobs[idx];
                 job.kind = JobKind::CastWeight;
                 job.load_particles(&self.store, span);

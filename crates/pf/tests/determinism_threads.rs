@@ -91,23 +91,6 @@ fn full_step_bitwise_identical_across_thread_counts() {
 }
 
 #[test]
-fn chunk_min_changes_streams_but_not_safety() {
-    // chunk_min is part of the deterministic layout: different values give
-    // different (but each internally reproducible) motion streams.
-    let mk = |chunk_min: usize| {
-        let config = SynPfConfig::builder()
-            .particles(400)
-            .chunk_min(chunk_min)
-            .seed(5)
-            .build()
-            .expect("valid config");
-        run_steps(config, 4)
-    };
-    assert_eq!(mk(64), mk(64), "same chunk_min must replay exactly");
-    assert_eq!(mk(16), mk(16));
-}
-
-#[test]
 fn kld_and_recovery_paths_stay_deterministic_across_threads() {
     let t = track();
     let run = |threads: usize| {

@@ -173,7 +173,6 @@ def fleet_cache_gate(first_path, second_path, stats_path):
     hits = stats.get("cache_hits", 0)
     print(
         f"warm run: {hits}/{total} cells from cache, "
-        f"{stats.get('journal_hits', 0)} from journal, "
         f"{stats.get('executed_cells', 0)} executed "
         f"({stats.get('executed_runs', 0)} runs)"
     )
