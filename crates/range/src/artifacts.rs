@@ -38,7 +38,7 @@
 //! assert!((r - 2.95).abs() < 0.25, "{r}");
 //! ```
 
-use crate::{CompressedRangeLut, RangeMethod};
+use crate::{CompressedRangeLut, RangeMethod, RayMarching};
 use raceloc_map::{DistanceMap, OccupancyGrid};
 use raceloc_obs::Telemetry;
 use raceloc_par::lock_unpoisoned;
@@ -86,16 +86,16 @@ impl ArtifactParams {
     }
 }
 
-/// The shared immutable bundle of per-map derived structures: occupancy
-/// grid + exact EDT (eager) + range LUT (lazy, built once on first query).
+/// The shared immutable bundle of per-map derived structures: a
+/// [`RayMarching`] caster owning the occupancy grid and its exact EDT
+/// (eager) + range LUT (lazy, marched once on first query by that caster).
 ///
 /// Implements [`RangeMethod`] by delegating to the LUT, so existing generic
 /// consumers (`SynPf<Arc<MapArtifacts>>`, the batch drivers) work through
 /// the [`Arc`] blanket impl unchanged.
 #[derive(Debug)]
 pub struct MapArtifacts {
-    grid: OccupancyGrid,
-    edt: DistanceMap,
+    caster: RayMarching,
     lut: OnceLock<CompressedRangeLut>,
     params: ArtifactParams,
     key: u64,
@@ -103,7 +103,8 @@ pub struct MapArtifacts {
 
 impl MapArtifacts {
     /// Builds the bundle for a grid: clones the grid, computes the EDT
-    /// eagerly, and defers the LUT to first use.
+    /// eagerly (both inside one [`RayMarching`]), and defers the LUT to
+    /// first use.
     ///
     /// # Panics
     ///
@@ -118,8 +119,7 @@ impl MapArtifacts {
         );
         let key = Self::content_key(grid, params);
         Self {
-            edt: DistanceMap::from_grid(grid),
-            grid: grid.clone(),
+            caster: RayMarching::new(grid, params.max_range),
             lut: OnceLock::new(),
             params,
             key,
@@ -135,12 +135,12 @@ impl MapArtifacts {
 
     /// The source occupancy grid.
     pub fn grid(&self) -> &OccupancyGrid {
-        &self.grid
+        self.caster.grid()
     }
 
     /// The exact Euclidean distance transform of the grid.
     pub fn edt(&self) -> &DistanceMap {
-        &self.edt
+        self.caster.edt()
     }
 
     /// The range LUT, building it on first call (exactly once per bundle,
@@ -148,9 +148,8 @@ impl MapArtifacts {
     /// this is the u16 [`CompressedRangeLut`]: half the f32 footprint, with
     /// each cell's heading fan contiguous in memory.
     pub fn lut(&self) -> &CompressedRangeLut {
-        self.lut.get_or_init(|| {
-            CompressedRangeLut::new(&self.grid, self.params.max_range, self.params.theta_bins)
-        })
+        self.lut
+            .get_or_init(|| CompressedRangeLut::marched(&self.caster, self.params.theta_bins))
     }
 
     /// True when the lazy LUT has already been built.
@@ -196,9 +195,7 @@ impl RangeMethod for MapArtifacts {
 
     fn memory_bytes(&self) -> usize {
         let lut = self.lut.get().map_or(0, CompressedRangeLut::memory_bytes);
-        let cells = self.grid.cell_count();
-        // EDT stores one f32 per cell; the grid one CellState per cell.
-        lut + cells * (std::mem::size_of::<f32>() + std::mem::size_of::<u8>())
+        lut + self.caster.memory_bytes()
     }
 }
 

@@ -10,7 +10,7 @@
 //! | Method | Construction | Query | Memory |
 //! |---|---|---|---|
 //! | [`BresenhamCasting`] | none | O(range/res) | none |
-//! | [`RayMarching`] | O(cells) EDT | O(log range) typical | 1 float/cell |
+//! | [`RayMarching`] | O(cells) EDT | O(log range) typical | 1 float + 1 byte/cell |
 //! | [`Cddt`] | O(θ-bins · occupied) | O(log obstacles) | compressed |
 //! | [`RangeLut`] | O(θ-bins · cells · query) | **O(1)** | 1 float/cell/θ-bin |
 //! | [`CompressedRangeLut`] | O(θ-bins · cells · query) | **O(1)** | 2 bytes/cell/θ-bin |

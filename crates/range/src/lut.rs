@@ -4,6 +4,13 @@
 //! GPU-less on-car computer: every `(x, y, θ)` triple in a discretized pose
 //! space stores its range, so a query is a single memory read — constant
 //! time at the cost of `cells × θ-bins` floats.
+//!
+//! Construction casts every cell centre's heading fan on a
+//! [`RayMarching`] caster, which marches a block of rays in interleaved
+//! rounds: `sin_cos` runs once per heading bin, each cell's first probe
+//! once per cell, and fans from opaque cells are skipped (their ranges
+//! are 0). The table is byte-identical to querying the same caster one
+//! ray at a time through `from_method`.
 
 use crate::{RangeMethod, RayMarching};
 use raceloc_map::OccupancyGrid;
@@ -40,18 +47,28 @@ pub struct RangeLut {
 }
 
 impl RangeLut {
-    /// Precomputes the table with `theta_bins` bins over `[0, 2π)`, using a
-    /// ray-marching caster for construction (one EDT, ~log-time casts).
+    /// Precomputes the table with `theta_bins` bins over `[0, 2π)`, marching
+    /// each cell centre's heading fan on a [`RayMarching`] caster (one EDT,
+    /// ~log-time casts, a block of rays in flight at a time).
     ///
-    /// Construction cost is `O(cells × theta_bins × cast)`; for maps beyond
-    /// a few hundred thousand cell-bins prefer building once and sharing.
+    /// Construction cost is `O(cells × theta_bins × cast)`, minus the
+    /// opaque cells, whose fans are skipped; for maps beyond a few hundred
+    /// thousand cell-bins prefer building once and sharing.
     ///
     /// # Panics
     ///
     /// Panics when `theta_bins == 0` or `max_range` is not positive/finite.
     pub fn new(grid: &OccupancyGrid, max_range: f64, theta_bins: usize) -> Self {
         let caster = RayMarching::new(grid, max_range);
-        Self::from_method(grid, &caster, theta_bins)
+        let mut lut = Self::zeroed(grid, max_range, theta_bins);
+        let cells = lut.width * lut.height;
+        let table = &mut lut.table;
+        caster.cell_fans(
+            theta_bins,
+            |cell, k| k * cells + cell,
+            |slot, range| table[slot] = range as f32,
+        );
+        lut
     }
 
     /// Precomputes the table by querying an existing [`RangeMethod`]
@@ -65,32 +82,37 @@ impl RangeLut {
         method: &M,
         theta_bins: usize,
     ) -> Self {
-        assert!(theta_bins > 0, "theta_bins must be positive");
-        let (w, h) = (grid.width(), grid.height());
-        let res = grid.resolution();
+        let mut lut = Self::zeroed(grid, method.max_range(), theta_bins);
+        let (w, h) = (lut.width, lut.height);
         let origin = grid.origin();
-        let max_range = method.max_range();
-        let mut table = vec![0.0f32; theta_bins * w * h];
         for k in 0..theta_bins {
             let theta = k as f64 / theta_bins as f64 * TAU;
             let base = k * w * h;
             for r in 0..h {
-                let y = origin.y + (r as f64 + 0.5) * res;
+                let y = origin.y + (r as f64 + 0.5) * lut.resolution;
                 for c in 0..w {
-                    let x = origin.x + (c as f64 + 0.5) * res;
-                    table[base + r * w + c] = method.range(x, y, theta) as f32;
+                    let x = origin.x + (c as f64 + 0.5) * lut.resolution;
+                    lut.table[base + r * w + c] = method.range(x, y, theta) as f32;
                 }
             }
         }
+        lut
+    }
+
+    /// An all-zero table over `grid`'s geometry.
+    fn zeroed(grid: &OccupancyGrid, max_range: f64, theta_bins: usize) -> Self {
+        assert!(theta_bins > 0, "theta_bins must be positive");
+        let (w, h) = (grid.width(), grid.height());
+        let origin = grid.origin();
         Self {
             width: w,
             height: h,
             theta_bins,
-            resolution: res,
+            resolution: grid.resolution(),
             origin_x: origin.x,
             origin_y: origin.y,
             max_range,
-            table,
+            table: vec![0.0f32; theta_bins * w * h],
         }
     }
 
@@ -210,15 +232,30 @@ struct BinCache {
 }
 
 impl CompressedRangeLut {
-    /// Precomputes the table with `theta_bins` bins over `[0, 2π)`, using a
-    /// ray-marching caster for construction (one EDT, ~log-time casts).
+    /// Precomputes the table with `theta_bins` bins over `[0, 2π)`, marching
+    /// each cell centre's heading fan on a [`RayMarching`] caster (one EDT,
+    /// ~log-time casts, a block of rays in flight at a time).
     ///
     /// # Panics
     ///
     /// Panics when `theta_bins == 0` or `max_range` is not positive/finite.
     pub fn new(grid: &OccupancyGrid, max_range: f64, theta_bins: usize) -> Self {
-        let caster = RayMarching::new(grid, max_range);
-        Self::from_method(grid, &caster, theta_bins)
+        Self::marched(&RayMarching::new(grid, max_range), theta_bins)
+    }
+
+    /// [`CompressedRangeLut::new`] on an already-built caster, which
+    /// fixes the grid and `max_range`.
+    pub(crate) fn marched(caster: &RayMarching, theta_bins: usize) -> Self {
+        let mut lut = Self::zeroed(caster.grid(), caster.max_range(), theta_bins);
+        let (bins, encode) = (theta_bins, lut.encode());
+        let max_range = lut.max_range;
+        let table = &mut lut.table;
+        caster.cell_fans(
+            theta_bins,
+            |cell, k| cell * bins + k,
+            |slot, range| table[slot] = (range.clamp(0.0, max_range) * encode).round() as u16,
+        );
+        lut
     }
 
     /// Precomputes the table by querying an existing [`RangeMethod`] at
@@ -233,17 +270,10 @@ impl CompressedRangeLut {
         method: &M,
         theta_bins: usize,
     ) -> Self {
-        assert!(theta_bins > 0, "theta_bins must be positive");
-        let max_range = method.max_range();
-        assert!(
-            max_range.is_finite() && max_range > 0.0,
-            "max_range must be positive"
-        );
-        let (w, h) = (grid.width(), grid.height());
-        let res = grid.resolution();
-        let origin = grid.origin();
-        let encode = f64::from(u16::MAX) / max_range;
-        let mut table = vec![0u16; w * h * theta_bins];
+        let mut lut = Self::zeroed(grid, method.max_range(), theta_bins);
+        let (w, h) = (lut.width, lut.height);
+        let (res, origin) = (lut.resolution, grid.origin());
+        let (max_range, encode) = (lut.max_range, lut.encode());
         for r in 0..h {
             let y = origin.y + (r as f64 + 0.5) * res;
             for c in 0..w {
@@ -252,22 +282,39 @@ impl CompressedRangeLut {
                 for k in 0..theta_bins {
                     let theta = k as f64 / theta_bins as f64 * TAU;
                     let range = method.range(x, y, theta).clamp(0.0, max_range);
-                    table[base + k] = (range * encode).round() as u16;
+                    lut.table[base + k] = (range * encode).round() as u16;
                 }
             }
         }
+        lut
+    }
+
+    /// An all-zero table over `grid`'s geometry.
+    fn zeroed(grid: &OccupancyGrid, max_range: f64, theta_bins: usize) -> Self {
+        assert!(theta_bins > 0, "theta_bins must be positive");
+        assert!(
+            max_range.is_finite() && max_range > 0.0,
+            "max_range must be positive"
+        );
+        let (w, h) = (grid.width(), grid.height());
+        let origin = grid.origin();
         Self {
             width: w,
             height: h,
             theta_bins,
-            resolution: res,
+            resolution: grid.resolution(),
             origin_x: origin.x,
             origin_y: origin.y,
             max_range,
             scale: max_range / f64::from(u16::MAX),
-            table,
+            table: vec![0u16; w * h * theta_bins],
             bin_cache: OnceLock::new(),
         }
+    }
+
+    /// The encode factor `65535 / max_range`.
+    fn encode(&self) -> f64 {
+        f64::from(u16::MAX) / self.max_range
     }
 
     /// Number of heading bins.

@@ -1,8 +1,33 @@
 //! Sphere-tracing ray casting on a Euclidean distance transform.
+//!
+//! A single cast is one serial dependency chain — divide, floor, EDT load,
+//! advance — so batches are marched in interleaved rounds instead: a
+//! fixed block of rays each takes one probe per round, and the
+//! independent chains overlap in the core. Every ray still runs exactly
+//! the float ops of the scalar [`RangeMethod::range`], in the same order,
+//! so batched results are bit-identical to per-query ones.
 
 use crate::RangeMethod;
 use raceloc_core::Point2;
 use raceloc_map::{DistanceMap, OccupancyGrid};
+use std::f64::consts::TAU;
+
+/// Rays in flight per marching round: enough independent chains to hide
+/// the probe latency, few enough that the lane state stays in L1.
+const BLOCK: usize = 8;
+
+/// One ray of a marched batch: origin, unit direction, distance marched
+/// so far, probes taken so far, and the output slot its range goes to.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ray {
+    x: f64,
+    y: f64,
+    c: f64,
+    s: f64,
+    t: f64,
+    steps: usize,
+    slot: usize,
+}
 
 /// Casts rays by "sphere tracing": from the current point, the distance
 /// transform bounds how far the ray can safely advance without crossing an
@@ -35,10 +60,16 @@ pub struct RayMarching {
     threshold: f64,
     /// Minimum step to guarantee progress along grazing rays (meters).
     min_step: f64,
+    /// Probe budget per ray: the worst case, every step advancing
+    /// `min_step`.
+    max_steps: usize,
 }
 
 impl RayMarching {
     /// Builds the distance transform and returns a caster.
+    ///
+    /// Construction is one `O(cells)` EDT plus a copy of the grid for the
+    /// opacity test: 5 bytes per cell in all.
     ///
     /// # Panics
     ///
@@ -49,13 +80,25 @@ impl RayMarching {
             "max_range must be positive"
         );
         let res = grid.resolution();
+        let min_step = res * 0.4;
         Self {
             dist: DistanceMap::from_grid(grid),
             grid: grid.clone(),
             max_range,
             threshold: res,
-            min_step: res * 0.4,
+            min_step,
+            max_steps: (max_range / min_step).ceil() as usize + 2,
         }
+    }
+
+    /// The occupancy grid the caster marches through.
+    pub fn grid(&self) -> &OccupancyGrid {
+        &self.grid
+    }
+
+    /// The exact Euclidean distance transform of [`RayMarching::grid`].
+    pub fn edt(&self) -> &DistanceMap {
+        &self.dist
     }
 
     /// The number of marching steps used for a query (diagnostic, used by
@@ -64,29 +107,157 @@ impl RayMarching {
         self.cast(x, y, theta).1
     }
 
+    /// Whether a ray at distance `t` after `steps` probes keeps marching.
+    #[inline(always)]
+    fn marching(&self, t: f64, steps: usize) -> bool {
+        t < self.max_range && steps < self.max_steps
+    }
+
+    /// One probe at distance `t` along the ray `(x, y) + t·(c, s)`: `None`
+    /// when the probe sits in an opaque cell (a hit at `t`), else how far
+    /// the ray may advance.
+    #[inline(always)]
+    fn probe(&self, x: f64, y: f64, c: f64, s: f64, t: f64) -> Option<f64> {
+        let idx = self.grid.world_to_index(Point2::new(x + c * t, y + s * t));
+        let d = self.dist.distance(idx);
+        if d < self.threshold {
+            // Close to a surface: only terminate if the ray has actually
+            // entered an opaque cell; otherwise creep forward so rays
+            // that merely graze an obstacle keep going.
+            if self.grid.is_opaque(idx) {
+                return None;
+            }
+            Some(self.min_step)
+        } else {
+            Some(d)
+        }
+    }
+
     fn cast(&self, x: f64, y: f64, theta: f64) -> (f64, usize) {
         let (s, c) = theta.sin_cos();
         let mut t = 0.0f64;
         let mut steps = 0usize;
-        // Worst case: every step advances min_step.
-        let max_steps = (self.max_range / self.min_step).ceil() as usize + 2;
-        while t < self.max_range && steps < max_steps {
-            let p = Point2::new(x + c * t, y + s * t);
-            let d = self.dist.distance_at_world(p);
-            if d < self.threshold {
-                // Close to a surface: only terminate if the ray has actually
-                // entered an opaque cell; otherwise creep forward so rays
-                // that merely graze an obstacle keep going.
-                if self.grid.is_opaque(self.grid.world_to_index(p)) {
-                    return (t, steps);
-                }
-                t += self.min_step;
-            } else {
-                t += d;
+        while self.marching(t, steps) {
+            match self.probe(x, y, c, s, t) {
+                Some(advance) => t += advance,
+                None => return (t, steps),
             }
             steps += 1;
         }
         (self.max_range, steps)
+    }
+
+    /// Marches every ray of `rays` to its range — the clamped value
+    /// [`RangeMethod::range`] returns — and hands it to `emit` with the
+    /// ray's slot. Rays run [`BLOCK`] at a time, one probe each per round;
+    /// a finished ray's lane is refilled from `rays` at once, so the block
+    /// stays full until the source runs dry. Emission order is completion
+    /// order, not source order.
+    fn march(&self, mut rays: impl Iterator<Item = Ray>, mut emit: impl FnMut(usize, f64)) {
+        let mut lanes = [Ray::default(); BLOCK];
+        let mut live = 0usize;
+        while live < BLOCK {
+            match self.admit(&mut rays, &mut emit) {
+                Some(ray) => lanes[live] = ray,
+                None => break,
+            }
+            live += 1;
+        }
+        while live > 0 {
+            let mut i = 0usize;
+            while i < live {
+                let ray = &mut lanes[i];
+                match self.probe(ray.x, ray.y, ray.c, ray.s, ray.t) {
+                    Some(advance) => {
+                        ray.t += advance;
+                        ray.steps += 1;
+                        if self.marching(ray.t, ray.steps) {
+                            i += 1;
+                            continue;
+                        }
+                        emit(ray.slot, self.max_range);
+                    }
+                    None => emit(ray.slot, ray.t.clamp(0.0, self.max_range)),
+                }
+                // Lane `i` is free: refill it, or move the last live lane
+                // (not yet probed this round) into it.
+                match self.admit(&mut rays, &mut emit) {
+                    Some(ray) => {
+                        lanes[i] = ray;
+                        i += 1;
+                    }
+                    None => {
+                        live -= 1;
+                        lanes[i] = lanes[live];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Pulls the next ray that still has marching to do, emitting
+    /// `max_range` for any that start out of budget.
+    #[inline(always)]
+    fn admit(
+        &self,
+        rays: &mut impl Iterator<Item = Ray>,
+        emit: &mut impl FnMut(usize, f64),
+    ) -> Option<Ray> {
+        for ray in rays.by_ref() {
+            if self.marching(ray.t, ray.steps) {
+                return Some(ray);
+            }
+            emit(ray.slot, self.max_range);
+        }
+        None
+    }
+
+    /// Casts the heading fan of every cell centre — heading bin `k` at
+    /// `k / theta_bins · 2π`, cells row-major — and hands each range to
+    /// `emit` at `slot(cell, k)`; the range-LUT build. `sin_cos` runs once
+    /// per bin, and each cell's first probe once per cell: at `t = 0` every
+    /// ray of the fan samples the cell centre. Fans from opaque cells,
+    /// whose every range is 0, are skipped without an `emit`.
+    pub(crate) fn cell_fans(
+        &self,
+        theta_bins: usize,
+        slot: impl Fn(usize, usize) -> usize,
+        emit: impl FnMut(usize, f64),
+    ) {
+        let dirs: Vec<(f64, f64)> = (0..theta_bins)
+            .map(|k| {
+                let (s, c) = (k as f64 / theta_bins as f64 * TAU).sin_cos();
+                (c, s)
+            })
+            .collect();
+        let (w, h) = (self.grid.width(), self.grid.height());
+        let res = self.grid.resolution();
+        let origin = self.grid.origin();
+        let (c0, s0) = dirs[0];
+        let slot = &slot;
+        let dirs = &dirs;
+        let rays = (0..h)
+            .flat_map(|r| (0..w).map(move |c| (r, c)))
+            .filter_map(|(r, c)| {
+                let y = origin.y + (r as f64 + 0.5) * res;
+                let x = origin.x + (c as f64 + 0.5) * res;
+                // `x + c·0 == x` for every finite direction, so bin 0's
+                // first probe is every bin's.
+                let t = self.probe(x, y, c0, s0, 0.0)?;
+                Some((r * w + c, x, y, t))
+            })
+            .flat_map(move |(cell, x, y, t)| {
+                dirs.iter().enumerate().map(move |(k, &(c, s))| Ray {
+                    x,
+                    y,
+                    c,
+                    s,
+                    t,
+                    steps: 1,
+                    slot: slot(cell, k),
+                })
+            });
+        self.march(rays, emit);
     }
 }
 
@@ -99,8 +270,29 @@ impl RangeMethod for RayMarching {
         self.cast(x, y, theta).0.clamp(0.0, self.max_range)
     }
 
+    // analyze:steady-state
+    fn ranges_into(&self, queries: &[(f64, f64, f64)], out: &mut [f64]) {
+        assert_eq!(queries.len(), out.len(), "query/output length mismatch");
+        let rays = queries.iter().enumerate().map(|(slot, &(x, y, theta))| {
+            let (s, c) = theta.sin_cos();
+            Ray {
+                x,
+                y,
+                c,
+                s,
+                t: 0.0,
+                steps: 0,
+                slot,
+            }
+        });
+        self.march(rays, |slot, range| out[slot] = range);
+    }
+
     fn memory_bytes(&self) -> usize {
-        self.dist.width() * self.dist.height() * std::mem::size_of::<f32>()
+        // The EDT's f32 plus the grid copy's one-byte state per cell.
+        self.dist.width()
+            * self.dist.height()
+            * (std::mem::size_of::<f32>() + std::mem::size_of::<u8>())
     }
 }
 
@@ -182,6 +374,6 @@ mod tests {
     fn memory_accounting_positive() {
         let g = square_room();
         let rm = RayMarching::new(&g, 20.0);
-        assert_eq!(rm.memory_bytes(), 100 * 100 * 4);
+        assert_eq!(rm.memory_bytes(), 100 * 100 * 5);
     }
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use raceloc_core::Point2;
-use raceloc_map::{CellState, GridIndex, OccupancyGrid};
+use raceloc_map::{CellState, GridIndex, OccupancyGrid, TrackShape, TrackSpec};
 use raceloc_range::{
     BresenhamCasting, Cddt, CompressedRangeLut, RangeLut, RangeMethod, RayMarching,
 };
@@ -239,4 +239,122 @@ proptest! {
                  (bearing {b}, theta {theta})");
         }
     }
+}
+
+/// Batch sizes around `RayMarching`'s block of 8 rays in flight: empty,
+/// one ray, a partial block, a full block, one ray into a refill, and a
+/// full 271-beam lidar sweep.
+const BATCH_SIZES: [usize; 6] = [0, 1, 7, 8, 9, 271];
+
+/// Casts `queries` one `range()` at a time and through `ranges_into`,
+/// asserting the two agree bit for bit.
+fn assert_batch_matches_scalar(rm: &RayMarching, queries: &[(f64, f64, f64)]) {
+    let mut batch = vec![f64::NAN; queries.len()];
+    rm.ranges_into(queries, &mut batch);
+    for (i, (&(x, y, theta), got)) in queries.iter().zip(&batch).enumerate() {
+        let want = rm.range(x, y, theta);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "query {i} of {}: ({x}, {y}, {theta}) batch {got} vs scalar {want}",
+            queries.len()
+        );
+    }
+}
+
+/// Decodes both tables at every cell centre × heading-bin angle and
+/// asserts they agree bit for bit.
+fn assert_same_table(g: &OccupancyGrid, bins: usize, a: &dyn RangeMethod, b: &dyn RangeMethod) {
+    for r in 0..g.height() as i64 {
+        for c in 0..g.width() as i64 {
+            let p = g.index_to_world(GridIndex::new(c, r));
+            for k in 0..bins {
+                let theta = k as f64 / bins as f64 * std::f64::consts::TAU;
+                let (ra, rb) = (a.range(p.x, p.y, theta), b.range(p.x, p.y, theta));
+                assert_eq!(
+                    ra.to_bits(),
+                    rb.to_bits(),
+                    "cell ({c}, {r}) bin {k}: {ra} vs {rb}"
+                );
+            }
+        }
+    }
+}
+
+/// `RangeLut::new` and `CompressedRangeLut::new` march cell fans in
+/// rounds; the reference is the generic per-query build on the same
+/// caster.
+fn assert_luts_match_per_query_build(g: &OccupancyGrid, max_range: f64, bins: usize) {
+    let rm = RayMarching::new(g, max_range);
+    assert_same_table(
+        g,
+        bins,
+        &RangeLut::new(g, max_range, bins),
+        &RangeLut::from_method(g, &rm, bins),
+    );
+    assert_same_table(
+        g,
+        bins,
+        &CompressedRangeLut::new(g, max_range, bins),
+        &CompressedRangeLut::from_method(g, &rm, bins),
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `RayMarching::ranges_into` marches rays in interleaved rounds; every
+    /// ray must still come out bit-identical to its own `range()` call,
+    /// whatever the batch size, heading or starting cell.
+    #[test]
+    fn ray_marching_batch_equals_per_query_range_bitwise(
+        g in arb_room(),
+        unknown in (0.1..0.9f64, 0.1..0.9f64),
+        poses in prop::collection::vec((-0.3..1.3f64, -0.3..1.3f64, -20.0..20.0f64), 271),
+    ) {
+        let mut g = g;
+        let (w, h) = (g.width() as f64, g.height() as f64);
+        let patch = GridIndex::new((unknown.0 * w) as i64, (unknown.1 * h) as i64);
+        for (dc, dr) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+            g.set(GridIndex::new(patch.col + dc, patch.row + dr), CellState::Unknown);
+        }
+        let rm = RayMarching::new(&g, 8.0);
+        let (lo, hi) = g.bounds();
+        let mut queries: Vec<(f64, f64, f64)> = poses
+            .iter()
+            .map(|&(fx, fy, t)| (lo.x + fx * (hi.x - lo.x), lo.y + fy * (hi.y - lo.y), t))
+            .collect();
+        // Pin the starts random draws may miss: an occupied wall cell, an
+        // unknown cell, a point outside the map, and a non-finite heading.
+        let wall = g.index_to_world(GridIndex::new(0, 0));
+        let hole = g.index_to_world(patch);
+        queries[0] = (wall.x, wall.y, queries[0].2);
+        queries[1] = (hole.x, hole.y, queries[1].2);
+        queries[2] = (lo.x - 1.0, hi.y + 0.5, queries[2].2);
+        queries[3].2 = f64::INFINITY;
+        for n in BATCH_SIZES {
+            assert_batch_matches_scalar(&rm, &queries[..n]);
+        }
+    }
+
+    #[test]
+    fn marched_luts_equal_the_per_query_build_bytewise(
+        g in arb_room(),
+        bins in 1usize..80,
+    ) {
+        assert_luts_match_per_query_build(&g, 8.0, bins);
+    }
+}
+
+/// The same byte-identity on a closed track at the paper's 0.05 m grid
+/// resolution, sized to stay quick in debug builds.
+#[test]
+fn marched_luts_equal_the_per_query_build_on_a_track() {
+    let track = TrackSpec::new(TrackShape::Oval {
+        width: 6.0,
+        height: 4.0,
+    })
+    .resolution(0.05)
+    .build();
+    assert_luts_match_per_query_build(&track.grid, 10.0, 36);
 }

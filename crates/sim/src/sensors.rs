@@ -186,9 +186,9 @@ impl Default for LidarSpec {
 pub struct Lidar {
     spec: LidarSpec,
     rng: Rng64,
-    /// Reusable query buffer for the batched sweep (DESIGN.md §11).
+    /// Reusable query buffer for the sweep (DESIGN.md §11).
     queries: Vec<(f64, f64, f64)>,
-    /// Reusable cast-result buffer for the batched sweep.
+    /// Reusable cast-result buffer for the sweep.
     cast: Vec<f64>,
 }
 
@@ -227,12 +227,12 @@ impl Lidar {
     /// Produces one sweep, batch-casting the beams on up to `threads`
     /// worker threads via [`RangeMethod::par_ranges_into`].
     ///
-    /// Ray casting consumes no randomness and the noise draws replay the
-    /// exact per-beam order of the serial sweep (dropout first, range noise
-    /// only for in-envelope returns), so the scan is **bit-identical** to
-    /// [`Lidar::scan`] for every `threads` value — the rule-R3 contract of
-    /// DESIGN.md §11. With `threads <= 1` the sweep stays on the caller
-    /// thread and skips casting dropped beams entirely.
+    /// Every beam is cast, dropped ones included, before the noise draws
+    /// replay the per-beam order (dropout first, range noise only for
+    /// in-envelope returns). Ray casting consumes no randomness and the
+    /// batch driver's results do not depend on `threads`, so the scan is
+    /// **bit-identical** for every `threads` value — the rule-R3 contract
+    /// of DESIGN.md §11.
     pub fn scan_with_threads<M: RangeMethod + ?Sized>(
         &mut self,
         body_pose: Pose2,
@@ -243,42 +243,25 @@ impl Lidar {
         let sensor_pose = body_pose * self.spec.mount;
         let angle_min = -0.5 * self.spec.fov;
         let inc = self.spec.fov / (self.spec.beams - 1) as f64;
+        self.queries.clear();
+        self.queries.extend((0..self.spec.beams).map(|i| {
+            (
+                sensor_pose.x,
+                sensor_pose.y,
+                sensor_pose.theta + angle_min + i as f64 * inc,
+            )
+        }));
+        self.cast.clear();
+        self.cast.resize(self.spec.beams, 0.0);
+        caster.par_ranges_into(&self.queries, &mut self.cast, threads);
         let mut ranges = Vec::with_capacity(self.spec.beams);
-        if threads > 1 {
-            // Pre-cast every beam, dropped ones included: casting is a pure
-            // function, so the extra casts cannot perturb the noise
-            // sequence replayed below.
-            self.queries.clear();
-            self.queries.extend((0..self.spec.beams).map(|i| {
-                (
-                    sensor_pose.x,
-                    sensor_pose.y,
-                    sensor_pose.theta + angle_min + i as f64 * inc,
-                )
-            }));
-            self.cast.clear();
-            self.cast.resize(self.spec.beams, 0.0);
-            caster.par_ranges_into(&self.queries, &mut self.cast, threads);
-            for i in 0..self.spec.beams {
-                let r = if self.rng.bernoulli(self.spec.dropout) {
-                    f64::INFINITY
-                } else {
-                    self.in_range_return(self.cast[i])
-                };
-                ranges.push(r);
-            }
-        } else {
-            for i in 0..self.spec.beams {
-                let beam_angle = sensor_pose.theta + angle_min + i as f64 * inc;
-                // Dropout is drawn before the (lazily skipped) cast.
-                let r = if self.rng.bernoulli(self.spec.dropout) {
-                    f64::INFINITY
-                } else {
-                    let true_r = caster.range(sensor_pose.x, sensor_pose.y, beam_angle);
-                    self.in_range_return(true_r)
-                };
-                ranges.push(r);
-            }
+        for i in 0..self.spec.beams {
+            let r = if self.rng.bernoulli(self.spec.dropout) {
+                f64::INFINITY
+            } else {
+                self.in_range_return(self.cast[i])
+            };
+            ranges.push(r);
         }
         let mut scan = LaserScan::new(angle_min, inc, ranges, self.spec.max_range);
         scan.stamp = stamp;
