@@ -1,42 +1,83 @@
-//! **Fleet evaluation** — the paper-style Monte-Carlo robustness tables
-//! (EXPERIMENTS.md A6): {SynPF, Cartographer, DeadReckoning} × {HQ, LQ
-//! grip} × {nominal, odometry slip, pose kidnap} × 2 tracks × 20 seed
-//! replicates, aggregated into per-cell success rates (Wilson 95%
-//! intervals), mean/p95 RMSE and lateral error, and recovery-latency
-//! distributions. `BENCH_fleet.json` is the checked-in artifact; it is
-//! byte-identical for every `--threads` value, every `--cache-dir`
-//! state, and every interrupt/resume split (DESIGN.md §15).
+//! **Fleet evaluation** — the paper-style Monte-Carlo robustness tables.
+//! `--spec` picks the checked-in spec (`raceloc_bench::fleet`):
 //!
-//! Hard gates (exit code 1, the CI `fleet-smoke` job): the paper's
-//! qualitative localizer ordering — SynPF must beat Cartographer under
-//! odometry slip, and dead reckoning must be the nominal-scenario worst
-//! case — plus per-cell sanity (see `raceloc_eval::ordering_violations`).
+//! - `robustness` (default, EXPERIMENTS.md A6): {SynPF, Cartographer,
+//!   DeadReckoning} × {HQ, LQ grip} × {nominal, odometry slip, pose
+//!   kidnap} × 2 tracks × 20 seed replicates → `BENCH_fleet.json`;
+//! - `faults` (EXPERIMENTS.md A5): the ten-scenario fault catalog on the
+//!   test track at HQ grip, 3 localizers × 20 replicates of 24 s →
+//!   `BENCH_faults.json`.
+//!
+//! Each cell aggregates into success rates (Wilson 95% intervals),
+//! mean/p95 RMSE and lateral error, and recovery-latency distributions.
+//! The report is byte-identical for every `--threads` value, every
+//! `--cache-dir` state, and every interrupt/resume split (DESIGN.md §15).
 //!
 //! Run with `cargo run -p raceloc-bench --release --bin fleet --
-//! [--quick] [--threads N] [--out BENCH_fleet.json] [--cache-dir DIR]
-//! [--stats-out FILE] [--stop-after-cells K]`.
+//! [--spec robustness|faults] [--quick] [--threads N] [--out FILE]
+//! [--cache-dir DIR] [--stats-out FILE] [--stop-after-cells K]`.
 //!
 //! An interrupted run (`--stop-after-cells`, or a killed process) resumes
 //! by running again with the same `--cache-dir`: every cell already
 //! stored there is a cache hit, and only the rest execute.
 //!
-//! The `diff` subcommand is the cross-PR accuracy gate (the CI
-//! `fleet-cache-smoke` job): `fleet diff BASELINE FRESH [--out FILE]`
-//! compares two report artifacts and exits 1 on an ordering flip or a
-//! disjoint-Wilson-interval success regression (see
-//! `raceloc_eval::diff_reports`).
+//! Runs never gate. The gates are their own subcommands, both exiting 0
+//! when clean, 1 on a violation and 2 on a usage or parse error:
+//!
+//! - `fleet check REPORT...` judges each written report against its own
+//!   embedded spec: the paper's qualitative localizer ordering and
+//!   per-cell sanity (`raceloc_eval::ordering_violations`), plus SynPF's
+//!   recovery budgets over every replicate and finite poses everywhere
+//!   (`raceloc_eval::recovery_violations`);
+//! - `fleet diff BASELINE FRESH [--out FILE]` is the cross-PR accuracy
+//!   gate: it exits 1 on an ordering flip or a disjoint-Wilson-interval
+//!   success regression (see `raceloc_eval::diff_reports`).
 
 use raceloc_bench::env_threads;
-use raceloc_bench::fleet::fleet_spec;
+use raceloc_bench::fleet::{fault_spec, fleet_spec};
 use raceloc_eval::{
-    diff_reports, ordering_violations, run_fleet_with, CellSummary, FleetReport, FleetRunOptions,
+    diff_reports, ordering_violations, recovery_violations, run_fleet_with, CellSummary,
+    FleetReport, FleetRunOptions, FleetSpec,
 };
 use raceloc_obs::Json;
 
+/// The checked-in specs `--spec` chooses between.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SpecChoice {
+    Robustness,
+    Faults,
+}
+
+impl SpecChoice {
+    fn parse(name: &str) -> Option<Self> {
+        match name {
+            "robustness" => Some(Self::Robustness),
+            "faults" => Some(Self::Faults),
+            _ => None,
+        }
+    }
+
+    fn build(self, quick: bool) -> FleetSpec {
+        match self {
+            Self::Robustness => fleet_spec(quick),
+            Self::Faults => fault_spec(quick),
+        }
+    }
+
+    /// The `experiment` label and the default `--out` path.
+    fn experiment(self) -> (&'static str, &'static str) {
+        match self {
+            Self::Robustness => ("fleet", "BENCH_fleet.json"),
+            Self::Faults => ("faults", "BENCH_faults.json"),
+        }
+    }
+}
+
 struct Args {
+    spec: SpecChoice,
     quick: bool,
     threads: usize,
-    out: String,
+    out: Option<String>,
     cache_dir: Option<String>,
     stats_out: Option<String>,
     stop_after_cells: Option<usize>,
@@ -44,9 +85,10 @@ struct Args {
 
 fn parse_args(argv: &[String]) -> Args {
     let mut args = Args {
+        spec: SpecChoice::Robustness,
         quick: false,
         threads: env_threads(),
-        out: "BENCH_fleet.json".to_string(),
+        out: None,
         cache_dir: None,
         stats_out: None,
         stop_after_cells: None,
@@ -60,6 +102,12 @@ fn parse_args(argv: &[String]) -> Args {
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            "--spec" => {
+                args.spec = SpecChoice::parse(&value("--spec", &mut it)).unwrap_or_else(|| {
+                    eprintln!("--spec needs robustness or faults");
+                    std::process::exit(2);
+                });
+            }
             "--quick" => args.quick = true,
             "--threads" => {
                 args.threads = value("--threads", &mut it)
@@ -72,7 +120,7 @@ fn parse_args(argv: &[String]) -> Args {
                         std::process::exit(2);
                     });
             }
-            "--out" => args.out = value("--out", &mut it),
+            "--out" => args.out = Some(value("--out", &mut it)),
             "--cache-dir" => args.cache_dir = Some(value("--cache-dir", &mut it)),
             "--stats-out" => args.stats_out = Some(value("--stats-out", &mut it)),
             "--stop-after-cells" => {
@@ -88,8 +136,8 @@ fn parse_args(argv: &[String]) -> Args {
             }
             other => {
                 eprintln!(
-                    "unknown argument {other:?} (known: --quick --threads --out --cache-dir \
-                     --stats-out --stop-after-cells; subcommand: diff)"
+                    "unknown argument {other:?} (known: --spec --quick --threads --out \
+                     --cache-dir --stats-out --stop-after-cells; subcommands: check, diff)"
                 );
                 std::process::exit(2);
             }
@@ -112,7 +160,7 @@ fn check_args(args: &Args) -> Result<(), String> {
 
 fn format_cell(c: &CellSummary) -> String {
     format!(
-        "{:<11} {:<3} {:<12} {:<13} {:>5} {:>5.2} [{:.2},{:.2}] {:>9.1} {:>9.1} {:>8.1} {:>7}",
+        "{:<11} {:<3} {:<14} {:<13} {:>5} {:>5.2} [{:.2},{:.2}] {:>9.1} {:>9.1} {:>8.1} {:>7}",
         c.map,
         c.grip,
         c.scenario,
@@ -178,19 +226,68 @@ fn diff_main(argv: &[String]) -> ! {
     std::process::exit(if diff.is_regression() { 1 } else { 0 });
 }
 
+/// Judges one written report against the spec embedded next to it.
+fn check_file(path: &str) -> Result<Vec<String>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("failed to read {path}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("failed to parse {path}: {e}"))?;
+    let spec = doc
+        .get("spec")
+        .ok_or_else(|| format!("{path}: no \"spec\" to judge the report against"))?;
+    let spec = FleetSpec::from_json(spec).map_err(|e| format!("{path}: {e}"))?;
+    let report = FleetReport::from_json(&doc).map_err(|e| format!("{path}: {e}"))?;
+    let mut violations = ordering_violations(&report);
+    violations.extend(recovery_violations(&spec, &report));
+    Ok(violations)
+}
+
+/// `fleet check REPORT...` — exit 0 clean, 1 violated, 2 usage/parse
+/// failure (no report is judged unless every one parses).
+fn check_main(paths: &[String]) -> i32 {
+    if paths.is_empty() || paths.iter().any(|p| p.starts_with("--")) {
+        eprintln!("usage: fleet check REPORT...");
+        return 2;
+    }
+    let mut checked = Vec::new();
+    for path in paths {
+        match check_file(path) {
+            Ok(violations) => checked.push((path, violations)),
+            Err(e) => {
+                eprintln!("{e}");
+                return 2;
+            }
+        }
+    }
+    let mut failed = false;
+    for (path, violations) in checked {
+        if violations.is_empty() {
+            println!("{path}: all gates passed");
+        }
+        for v in &violations {
+            println!("{path}: {v}");
+        }
+        failed |= !violations.is_empty();
+    }
+    i32::from(failed)
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("diff") {
-        diff_main(&argv[1..]);
+    match argv.first().map(String::as_str) {
+        Some("diff") => diff_main(&argv[1..]),
+        Some("check") => std::process::exit(check_main(&argv[1..])),
+        _ => {}
     }
     let args = parse_args(&argv);
     if let Err(e) = check_args(&args) {
         eprintln!("{e}");
         std::process::exit(2);
     }
-    let spec = fleet_spec(args.quick);
+    let spec = args.spec.build(args.quick);
+    let (experiment, default_out) = args.spec.experiment();
+    let out = args.out.as_deref().unwrap_or(default_out);
     println!(
-        "Fleet evaluation — {} cells × {} replicates = {} closed-loop runs ({} threads)",
+        "{} — {} cells × {} replicates = {} closed-loop runs ({} threads)",
+        spec.name,
         spec.cells().len(),
         spec.replicates,
         spec.total_runs(),
@@ -213,14 +310,14 @@ fn main() {
         stats.executed_cells,
         stats.executed_runs,
         if stats.stopped_early {
-            " — STOPPED EARLY"
+            " — STOPPED EARLY (rerun with the same --cache-dir to resume)"
         } else {
             ""
         }
     );
 
     println!(
-        "{:<11} {:<3} {:<12} {:<13} {:>5} {:>17} {:>9} {:>9} {:>8} {:>7}",
+        "{:<11} {:<3} {:<14} {:<13} {:>5} {:>17} {:>9} {:>9} {:>8} {:>7}",
         "Map",
         "Odo",
         "Scenario",
@@ -237,16 +334,16 @@ fn main() {
     }
 
     let json = Json::Obj(vec![
-        ("experiment".into(), Json::Str("fleet".into())),
+        ("experiment".into(), Json::Str(experiment.into())),
         ("quick".into(), Json::Bool(args.quick)),
         ("spec".into(), spec.to_json()),
         ("report".into(), report.to_json()),
     ]);
-    if let Err(e) = std::fs::write(&args.out, format!("{json}\n")) {
-        eprintln!("failed to write {}: {e}", args.out);
+    if let Err(e) = std::fs::write(out, format!("{json}\n")) {
+        eprintln!("failed to write {out}: {e}");
         std::process::exit(1);
     }
-    println!("wrote {}", args.out);
+    println!("wrote {out}");
     if let Some(stats_out) = &args.stats_out {
         if let Err(e) = std::fs::write(stats_out, format!("{}\n", stats.to_json())) {
             eprintln!("failed to write {stats_out}: {e}");
@@ -254,23 +351,6 @@ fn main() {
         }
         println!("wrote {stats_out}");
     }
-
-    // An interrupted invocation deliberately leaves missing rows; the
-    // ordering gates only judge complete reports (the resumed run gates).
-    if stats.stopped_early {
-        println!("stopped after {} cells — gates skipped until resume", {
-            stats.cache_hits + stats.executed_cells
-        });
-        return;
-    }
-    let violations = ordering_violations(&report);
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("GATE FAILURE: {v}");
-        }
-        std::process::exit(1);
-    }
-    println!("all gates passed");
 }
 
 #[cfg(test)]
@@ -291,5 +371,15 @@ mod tests {
         assert!(check_args(&resumable).is_ok());
         assert!(check_args(&parse(&["--quick", "--cache-dir", "d"])).is_ok());
         assert!(check_args(&parse(&["--quick"])).is_ok());
+    }
+
+    #[test]
+    fn spec_flag_picks_the_spec_and_its_default_out() {
+        assert_eq!(parse(&[]).spec, SpecChoice::Robustness);
+        let faults = parse(&["--spec", "faults", "--quick"]);
+        assert_eq!(faults.spec, SpecChoice::Faults);
+        assert_eq!(faults.spec.experiment(), ("faults", "BENCH_faults.json"));
+        assert_eq!(faults.spec.build(faults.quick), fault_spec(true));
+        assert_eq!(SpecChoice::parse("deadline"), None);
     }
 }

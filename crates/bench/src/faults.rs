@@ -1,121 +1,21 @@
-//! Fault-matrix infrastructure (DESIGN.md §12): the fault catalog, one
-//! (localizer × fault-scenario) closed-loop cell, and the deterministic
-//! result row the `fault_matrix` binary serializes into
-//! `BENCH_faults.json`.
-//!
-//! Every cell runs under **oracle control** (the car drives on ground
-//! truth) so the trajectory — and therefore the fault exposure — is
-//! identical for every localizer; the rows measure pure localization
-//! robustness, not controller interaction. Rows contain no wall-clock
-//! fields, so a row is bit-identical for every `threads` value (rule R3;
-//! `crates/bench/tests/fault_determinism.rs` enforces this).
+//! The fault catalog (DESIGN.md §12): a nominal control plus nine
+//! single-fault scenarios, each mapped to a physical failure. The fault
+//! fleet (`fleet --spec faults`, [`crate::fleet::fault_spec`]) runs the
+//! whole catalog; the robustness fleet ([`crate::fleet::fleet_spec`])
+//! takes its nominal, slip and kidnap entries.
 
-use crate::{test_track, world_config, MU_HIGH_QUALITY};
-use raceloc_core::localizer::DeadReckoning;
-use raceloc_core::Health;
+use crate::test_track;
+use raceloc_eval::ScenarioSpec;
 use raceloc_faults::{FaultSchedule, MapRegion};
-use raceloc_obs::Json;
-use raceloc_pf::{HealthPolicy, RecoveryConfig, SynPf, SynPfConfig};
-use raceloc_sim::{SimLog, World};
-use raceloc_slam::{CartoLocalizer, CartoLocalizerConfig, SlamHealthPolicy};
 
-/// One entry of the fault catalog: a schedule plus how to score recovery.
-#[derive(Debug, Clone)]
-pub struct FaultScenario {
-    /// Stable scenario identifier (used as the JSON row key).
-    pub name: String,
-    /// The deterministic fault script.
-    pub schedule: FaultSchedule,
-    /// Correction step from which recovery latency is measured (the fault's
-    /// end for windowed faults, its onset for one-shot faults).
-    pub measure_from: u64,
-    /// Steps within which the health-monitored SynPF must return to
-    /// [`Health::Nominal`] (`None`: recovery is reported but not gated).
-    pub recovery_budget: Option<u64>,
-}
-
-/// The localizers of the fault matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultMethod {
-    /// Health-monitored SynPF with augmented-MCL recovery + auto re-init.
-    SynPf,
-    /// Cartographer pure localization with match-score health monitoring.
-    Cartographer,
-    /// Dead reckoning — the no-correction baseline (health is always
-    /// Nominal: it has no detector and no notion of divergence).
-    DeadReckoning,
-}
-
-impl FaultMethod {
-    /// All matrix methods, in report order.
-    pub fn all() -> [FaultMethod; 3] {
-        [
-            FaultMethod::SynPf,
-            FaultMethod::Cartographer,
-            FaultMethod::DeadReckoning,
-        ]
-    }
-
-    /// The row label.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FaultMethod::SynPf => "SynPF",
-            FaultMethod::Cartographer => "Cartographer",
-            FaultMethod::DeadReckoning => "DeadReckoning",
-        }
-    }
-}
-
-/// Sizing of one fault cell.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultCellConfig {
-    /// Worker threads for the simulator and the particle pipeline (cannot
-    /// change any row content — rule R3).
-    pub threads: usize,
-    /// SynPF particle count.
-    pub particles: usize,
-    /// Simulated run length \[s\] (40 scan corrections per second).
-    pub duration_s: f64,
-    /// World noise seed.
-    pub seed: u64,
-}
-
-impl FaultCellConfig {
-    /// The full checked-in-matrix configuration: 24 s ≈ 960 corrections.
-    pub fn full(threads: usize) -> Self {
-        Self {
-            threads,
-            particles: 1200,
-            duration_s: 24.0,
-            seed: 42,
-        }
-    }
-
-    /// The CI smoke configuration: 8 s ≈ 320 corrections.
-    pub fn quick(threads: usize) -> Self {
-        Self {
-            threads,
-            particles: 600,
-            duration_s: 8.0,
-            seed: 42,
-        }
-    }
-
-    /// Scan corrections this configuration produces (the catalog's clock).
-    pub fn total_steps(&self) -> u64 {
-        (self.duration_s * 40.0).round() as u64
-    }
-}
-
-/// Builds the fault catalog for a run of `total_steps` scan corrections:
-/// a nominal control plus nine single-fault scenarios, each mapped to a
-/// physical failure (DESIGN.md §12). Windows scale with the run length so
-/// `--quick` exercises the same catalog on a compressed timeline.
+/// Builds the fault catalog for a run of `total_steps` scan corrections.
+/// Windows scale with the run length, so a shorter run exercises the same
+/// catalog on a compressed timeline.
 ///
 /// # Panics
 ///
 /// Panics when `total_steps` is too short to place the windows (< 80).
-pub fn fault_catalog(total_steps: u64) -> Vec<FaultScenario> {
+pub fn fault_catalog(total_steps: u64) -> Vec<ScenarioSpec> {
     assert!(total_steps >= 80, "need at least 80 corrections");
     let onset = total_steps / 4;
     let span = total_steps / 5;
@@ -136,406 +36,76 @@ pub fn fault_catalog(total_steps: u64) -> Vec<FaultScenario> {
         y1: p.y + 0.4,
     };
 
-    let build =
-        |b: raceloc_faults::FaultScheduleBuilder| b.build().expect("catalog schedules are valid");
+    let scenario = |name: &str,
+                    b: raceloc_faults::FaultScheduleBuilder,
+                    measure_from: u64,
+                    recovery_budget: Option<u64>| ScenarioSpec {
+        name: name.into(),
+        schedule: b.seed(seed).build().expect("catalog schedules are valid"),
+        measure_from,
+        recovery_budget,
+    };
+    let faults = FaultSchedule::builder;
     vec![
-        FaultScenario {
-            name: "nominal".into(),
-            schedule: build(FaultSchedule::builder().seed(seed)),
-            measure_from: 0,
-            recovery_budget: None,
-        },
-        FaultScenario {
-            // Sun glare / dust cloud: the sensor sees nothing for a while.
-            name: "lidar_blackout".into(),
-            schedule: build(
-                FaultSchedule::builder()
-                    .seed(seed)
-                    .lidar_blackout(onset, onset + blackout_len),
-            ),
-            measure_from: onset + blackout_len,
-            recovery_budget: Some(budget),
-        },
-        FaultScenario {
-            // Rain / reflective surfaces: most beams return nothing.
-            name: "beam_dropout".into(),
-            schedule: build(
-                FaultSchedule::builder()
-                    .seed(seed)
-                    .beam_dropout(onset, end, 0.75),
-            ),
-            measure_from: end,
-            recovery_budget: None,
-        },
-        FaultScenario {
-            // Miscalibrated sensor swap: constant additive range offset.
-            name: "range_bias".into(),
-            schedule: build(
-                FaultSchedule::builder()
-                    .seed(seed)
-                    .range_bias(onset, end, 0.30),
-            ),
-            measure_from: end,
-            recovery_budget: None,
-        },
-        FaultScenario {
-            // Wrong beam-divergence compensation: multiplicative error.
-            name: "range_scale".into(),
-            schedule: build(
-                FaultSchedule::builder()
-                    .seed(seed)
-                    .range_scale(onset, end, 1.06),
-            ),
-            measure_from: end,
-            recovery_budget: None,
-        },
-        FaultScenario {
-            // Wheelspin burst: encoders over-count by 80%.
-            name: "odom_slip".into(),
-            schedule: build(
-                FaultSchedule::builder()
-                    .seed(seed)
-                    .odom_slip(onset, end, 1.8),
-            ),
-            measure_from: end,
-            recovery_budget: None,
-        },
-        FaultScenario {
-            // Encoder cable failure: speed + steering feedback freeze.
-            name: "stuck_encoder".into(),
-            schedule: build(
-                FaultSchedule::builder()
-                    .seed(seed)
-                    .stuck_encoder(onset, onset + span / 2),
-            ),
-            measure_from: onset + span / 2,
-            recovery_budget: None,
-        },
-        FaultScenario {
-            // Transport congestion: scans arrive 8 corrections (200 ms)
-            // late — past the stale-rejection threshold.
-            name: "latency".into(),
-            schedule: build(FaultSchedule::builder().seed(seed).latency(
-                onset,
-                onset + span / 2,
-                8,
-            )),
-            measure_from: onset + span / 2,
-            recovery_budget: None,
-        },
-        FaultScenario {
-            // Kidnap-grade collision: the car is suddenly 6 m down-track.
-            name: "pose_kidnap".into(),
-            schedule: build(FaultSchedule::builder().seed(seed).pose_kidnap(mid, 6.0)),
-            measure_from: mid,
-            recovery_budget: Some(budget),
-        },
-        FaultScenario {
-            // Unmapped obstacle: scans hit geometry the map does not have.
-            name: "map_corruption".into(),
-            schedule: build(
-                FaultSchedule::builder()
-                    .seed(seed)
-                    .map_corruption(onset, end, region),
-            ),
-            measure_from: end,
-            recovery_budget: None,
-        },
+        scenario("nominal", faults(), 0, None),
+        // Sun glare / dust cloud: the sensor sees nothing for a while.
+        scenario(
+            "lidar_blackout",
+            faults().lidar_blackout(onset, onset + blackout_len),
+            onset + blackout_len,
+            Some(budget),
+        ),
+        // Rain / reflective surfaces: most beams return nothing.
+        scenario(
+            "beam_dropout",
+            faults().beam_dropout(onset, end, 0.75),
+            end,
+            None,
+        ),
+        // Miscalibrated sensor swap: constant additive range offset.
+        scenario(
+            "range_bias",
+            faults().range_bias(onset, end, 0.30),
+            end,
+            None,
+        ),
+        // Wrong beam-divergence compensation: multiplicative error.
+        scenario(
+            "range_scale",
+            faults().range_scale(onset, end, 1.06),
+            end,
+            None,
+        ),
+        // Wheelspin burst: encoders over-count by 80%.
+        scenario("odom_slip", faults().odom_slip(onset, end, 1.8), end, None),
+        // Encoder cable failure: speed + steering feedback freeze.
+        scenario(
+            "stuck_encoder",
+            faults().stuck_encoder(onset, onset + span / 2),
+            onset + span / 2,
+            None,
+        ),
+        // Transport congestion: scans arrive 8 corrections (200 ms) late —
+        // past the stale-rejection threshold.
+        scenario(
+            "latency",
+            faults().latency(onset, onset + span / 2, 8),
+            onset + span / 2,
+            None,
+        ),
+        // Kidnap-grade collision: the car is suddenly 6 m down-track.
+        scenario(
+            "pose_kidnap",
+            faults().pose_kidnap(mid, 6.0),
+            mid,
+            Some(budget),
+        ),
+        // Unmapped obstacle: scans hit geometry the map does not have.
+        scenario(
+            "map_corruption",
+            faults().map_corruption(onset, end, region),
+            end,
+            None,
+        ),
     ]
-}
-
-/// One deterministic row of `BENCH_faults.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultRow {
-    /// Localizer label.
-    pub method: String,
-    /// Scenario name.
-    pub scenario: String,
-    /// Scan corrections actually run.
-    pub steps: usize,
-    /// RMSE of the translation error over the whole run \[cm\].
-    pub rmse_cm: f64,
-    /// Worst translation error \[cm\].
-    pub max_err_cm: f64,
-    /// Corrections from `measure_from` until health settles at Nominal for
-    /// the remainder of the run — 0 when the detector never left Nominal,
-    /// `None` when the run ends still non-Nominal. Measured against the
-    /// *last* non-Nominal step so a detector that fires a few corrections
-    /// after a kidnap cannot report a spurious instant recovery.
-    pub recovery_steps: Option<u64>,
-    /// Fraction of corrections spent in each health state (sums to 1).
-    pub pct_nominal: f64,
-    /// See [`FaultRow::pct_nominal`].
-    pub pct_degraded: f64,
-    /// See [`FaultRow::pct_nominal`].
-    pub pct_lost: f64,
-    /// See [`FaultRow::pct_nominal`].
-    pub pct_recovering: f64,
-    /// Whether the ground-truth run aborted in a crash.
-    pub crashed: bool,
-    /// Whether every pose estimate was finite.
-    pub finite: bool,
-}
-
-impl FaultRow {
-    /// Serializes the row (stable key order).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("method".into(), Json::Str(self.method.clone())),
-            ("scenario".into(), Json::Str(self.scenario.clone())),
-            ("steps".into(), Json::num(self.steps as f64)),
-            ("rmse_cm".into(), Json::num(self.rmse_cm)),
-            ("max_err_cm".into(), Json::num(self.max_err_cm)),
-            (
-                "recovery_steps".into(),
-                self.recovery_steps
-                    .map_or(Json::Null, |s| Json::num(s as f64)),
-            ),
-            ("pct_nominal".into(), Json::num(self.pct_nominal)),
-            ("pct_degraded".into(), Json::num(self.pct_degraded)),
-            ("pct_lost".into(), Json::num(self.pct_lost)),
-            ("pct_recovering".into(), Json::num(self.pct_recovering)),
-            ("crashed".into(), Json::Bool(self.crashed)),
-            ("finite".into(), Json::Bool(self.finite)),
-        ])
-    }
-}
-
-/// Runs one (method × scenario) cell and reduces it to a [`FaultRow`].
-pub fn run_fault_cell(
-    method: FaultMethod,
-    scenario: &FaultScenario,
-    cfg: &FaultCellConfig,
-) -> FaultRow {
-    let track = test_track();
-    let mut wcfg = world_config(MU_HIGH_QUALITY, cfg.seed);
-    wcfg.threads = cfg.threads.max(1);
-    let mut world = World::new(test_track(), wcfg);
-    if !scenario.schedule.is_empty() {
-        world.set_fault_schedule(scenario.schedule.clone());
-    }
-    let log = match method {
-        FaultMethod::SynPf => {
-            let artifacts = crate::track_artifacts(&track);
-            let config = SynPfConfig::builder()
-                .particles(cfg.particles)
-                .threads(cfg.threads.max(1))
-                .seed(7)
-                .recovery(RecoveryConfig::default())
-                .health(HealthPolicy::default())
-                .build()
-                .expect("fault-cell SynPF configuration is valid");
-            let mut pf = SynPf::from_artifacts(artifacts, config);
-            pf.enable_recovery(&track.grid);
-            world.run_with_oracle_control(&mut pf, cfg.duration_s)
-        }
-        FaultMethod::Cartographer => {
-            let config = CartoLocalizerConfig {
-                health: Some(SlamHealthPolicy::default()),
-                ..CartoLocalizerConfig::default()
-            };
-            let mut carto = CartoLocalizer::from_artifacts(&crate::track_artifacts(&track), config);
-            world.run_with_oracle_control(&mut carto, cfg.duration_s)
-        }
-        FaultMethod::DeadReckoning => {
-            let mut dr = DeadReckoning::new();
-            world.run_with_oracle_control(&mut dr, cfg.duration_s)
-        }
-    };
-    summarize(method, scenario, &log)
-}
-
-/// Reduces one run log to its deterministic row.
-fn summarize(method: FaultMethod, scenario: &FaultScenario, log: &SimLog) -> FaultRow {
-    let n = log.samples.len();
-    let mut sq = 0.0;
-    let mut max_err = 0.0f64;
-    let mut finite = true;
-    let mut counts = [0usize; 4];
-    for s in &log.samples {
-        if !(s.est_pose.x.is_finite() && s.est_pose.y.is_finite() && s.est_pose.theta.is_finite()) {
-            finite = false;
-        }
-        let e = s.true_pose.dist(s.est_pose);
-        sq += e * e;
-        max_err = max_err.max(e);
-        counts[match s.health {
-            Health::Nominal => 0,
-            Health::Degraded => 1,
-            Health::Lost => 2,
-            Health::Recovering => 3,
-        }] += 1;
-    }
-    let denom = n.max(1) as f64;
-    let measure_from = scenario.measure_from as usize;
-    let last_bad = log
-        .samples
-        .iter()
-        .enumerate()
-        .skip(measure_from)
-        .filter(|(_, s)| s.health != Health::Nominal)
-        .map(|(i, _)| i)
-        .next_back();
-    let recovery_steps = match last_bad {
-        None => Some(0),
-        Some(i) if i + 1 < n => Some((i + 1 - measure_from) as u64),
-        Some(_) => None,
-    };
-    FaultRow {
-        method: method.name().to_string(),
-        scenario: scenario.name.clone(),
-        steps: n,
-        rmse_cm: 100.0 * (sq / denom).sqrt(),
-        max_err_cm: 100.0 * max_err,
-        recovery_steps,
-        pct_nominal: counts[0] as f64 / denom,
-        pct_degraded: counts[1] as f64 / denom,
-        pct_lost: counts[2] as f64 / denom,
-        pct_recovering: counts[3] as f64 / denom,
-        crashed: log.crashed,
-        finite,
-    }
-}
-
-/// The hard gate the `fault-smoke` CI job enforces on one row: non-finite
-/// poses fail everywhere; a health-monitored SynPF additionally must
-/// recover to Nominal within the scenario's budget (the "stuck in Lost"
-/// check of DESIGN.md §12).
-pub fn row_violations(row: &FaultRow, scenario: &FaultScenario) -> Vec<String> {
-    let mut out = Vec::new();
-    if !row.finite {
-        out.push(format!(
-            "{} × {}: non-finite pose estimate",
-            row.method, row.scenario
-        ));
-    }
-    if row.method == FaultMethod::SynPf.name() {
-        if let Some(budget) = scenario.recovery_budget {
-            match row.recovery_steps {
-                Some(steps) if steps <= budget => {}
-                Some(steps) => out.push(format!(
-                    "{} × {}: recovered in {steps} steps, budget {budget}",
-                    row.method, row.scenario
-                )),
-                None => out.push(format!(
-                    "{} × {}: never recovered to Nominal (budget {budget})",
-                    row.method, row.scenario
-                )),
-            }
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn catalog_covers_the_fault_space() {
-        let catalog = fault_catalog(960);
-        assert!(catalog.len() >= 9, "nominal + ≥8 fault scenarios");
-        let mut names: Vec<&str> = catalog.iter().map(|s| s.name.as_str()).collect();
-        assert!(names.contains(&"nominal"));
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), catalog.len(), "names must be unique");
-        // Gated scenarios carry a budget; every window fits the run.
-        for s in &catalog {
-            assert!(s.measure_from < 960, "{}: measure_from out of run", s.name);
-            for f in s.schedule.faults() {
-                assert!(f.window.start < 960, "{}: window beyond run", s.name);
-            }
-        }
-        assert!(catalog
-            .iter()
-            .any(|s| s.name == "pose_kidnap" && s.recovery_budget.is_some()));
-        assert!(catalog
-            .iter()
-            .any(|s| s.name == "lidar_blackout" && s.recovery_budget.is_some()));
-    }
-
-    #[test]
-    fn quick_catalog_scales_down() {
-        let catalog = fault_catalog(320);
-        for s in &catalog {
-            for f in s.schedule.faults() {
-                assert!(f.window.start < 320, "{}: window beyond quick run", s.name);
-            }
-        }
-    }
-
-    #[test]
-    fn dead_reckoning_cell_runs_and_reports() {
-        let cfg = FaultCellConfig {
-            threads: 1,
-            particles: 50,
-            duration_s: 2.5,
-            seed: 42,
-        };
-        let catalog = fault_catalog(cfg.total_steps().max(80));
-        let nominal = &catalog[0];
-        let row = run_fault_cell(FaultMethod::DeadReckoning, nominal, &cfg);
-        assert!(row.steps > 50);
-        assert!(row.finite);
-        assert_eq!(row.pct_nominal, 1.0, "dead reckoning has no detectors");
-        assert_eq!(row.recovery_steps, Some(0));
-        assert!(row_violations(&row, nominal).is_empty());
-    }
-
-    #[test]
-    fn violations_catch_non_finite_and_budget() {
-        let catalog = fault_catalog(960);
-        let kidnap = catalog
-            .iter()
-            .find(|s| s.name == "pose_kidnap")
-            .expect("kidnap scenario");
-        let mut row = FaultRow {
-            method: "SynPF".into(),
-            scenario: "pose_kidnap".into(),
-            steps: 960,
-            rmse_cm: 10.0,
-            max_err_cm: 600.0,
-            recovery_steps: None,
-            pct_nominal: 0.5,
-            pct_degraded: 0.1,
-            pct_lost: 0.4,
-            pct_recovering: 0.0,
-            crashed: false,
-            finite: true,
-        };
-        assert_eq!(row_violations(&row, kidnap).len(), 1, "stuck in Lost");
-        row.recovery_steps = Some(10);
-        assert!(row_violations(&row, kidnap).is_empty());
-        row.finite = false;
-        assert_eq!(row_violations(&row, kidnap).len(), 1, "non-finite pose");
-        // Non-SynPF rows are never budget-gated.
-        row.method = "Cartographer".into();
-        row.finite = true;
-        row.recovery_steps = None;
-        assert!(row_violations(&row, kidnap).is_empty());
-    }
-
-    #[test]
-    fn row_json_round_trips_through_obs() {
-        let row = FaultRow {
-            method: "SynPF".into(),
-            scenario: "nominal".into(),
-            steps: 100,
-            rmse_cm: 3.25,
-            max_err_cm: 9.5,
-            recovery_steps: None,
-            pct_nominal: 1.0,
-            pct_degraded: 0.0,
-            pct_lost: 0.0,
-            pct_recovering: 0.0,
-            crashed: false,
-            finite: true,
-        };
-        let text = format!("{}", row.to_json());
-        let doc = Json::parse(&text).expect("row serializes to valid JSON");
-        assert_eq!(doc.get("method").and_then(Json::as_str), Some("SynPF"));
-        assert_eq!(doc.get("recovery_steps"), Some(&Json::Null));
-        assert_eq!(doc.get("finite"), Some(&Json::Bool(true)));
-    }
 }

@@ -1,45 +1,65 @@
-//! The paper-style robustness fleet (DESIGN.md §12, EXPERIMENTS.md A6):
-//! the checked-in [`FleetSpec`] behind `BENCH_fleet.json`.
+//! The checked-in fleet specs (DESIGN.md §12, EXPERIMENTS.md A5/A6).
 //!
-//! The matrix crosses two procedurally generated tracks, both surface
-//! qualities (the paper's HQ/LQ odometry axis), a nominal control plus
-//! the two fault scenarios the paper's narrative hinges on (wheelspin
-//! odometry slip and a kidnap-grade collision), all three localizers, and
-//! 20 seed replicates per cell — 720 closed-loop runs in full mode. The
-//! quick mode keeps the whole matrix and drops only the replicate count,
-//! so CI exercises every cell on a compressed budget.
+//! - [`fleet_spec`] — the paper-style robustness fleet behind
+//!   `BENCH_fleet.json`: two procedurally generated tracks, both surface
+//!   qualities (the paper's HQ/LQ odometry axis), a nominal control plus
+//!   the two fault scenarios the paper's narrative hinges on (wheelspin
+//!   odometry slip and a kidnap-grade collision), all three localizers,
+//!   and 20 seed replicates per cell — 720 closed-loop runs.
+//! - [`fault_spec`] — the fault fleet behind `BENCH_faults.json`: the
+//!   whole [`fault_catalog`] on the test track at HQ grip, all three
+//!   localizers, 20 replicates — 600 runs of 24 s.
+//!
+//! The quick mode of either spec keeps the whole matrix and drops only
+//! the replicate count, so CI exercises every cell on a compressed budget.
 
-use raceloc_eval::{EvalMethod, FleetSpec, GripSpec, MapSpec, ScenarioSpec};
-use raceloc_faults::FaultSchedule;
+use raceloc_eval::{EvalMethod, FleetSpec, GripSpec, MapSpec};
 
+use crate::faults::fault_catalog;
 use crate::{MU_HIGH_QUALITY, MU_LOW_QUALITY};
 
-/// Replicates per cell in full mode (the checked-in artifact).
+/// Replicates per cell in full mode (the checked-in artifacts).
 pub const FULL_REPLICATES: u32 = 20;
-/// Replicates per cell in `--quick` mode (the CI smoke artifact).
+/// Replicates per cell in `--quick` mode (the CI smoke artifacts).
 pub const QUICK_REPLICATES: u32 = 2;
+
+fn replicates(quick: bool) -> u32 {
+    if quick {
+        QUICK_REPLICATES
+    } else {
+        FULL_REPLICATES
+    }
+}
+
+/// The test track ([`crate::test_track`]) as a fleet map.
+fn fourier_33() -> MapSpec {
+    MapSpec {
+        name: "fourier-33".into(),
+        fourier_seed: 33,
+        half_width: 1.25,
+        mean_radius: 6.0,
+    }
+}
+
+fn high_grip() -> GripSpec {
+    GripSpec {
+        name: "HQ".into(),
+        mu: MU_HIGH_QUALITY,
+    }
+}
 
 /// Builds the robustness fleet. `quick` only changes the replicate count;
 /// the cell matrix, seeds, and run length are identical in both modes.
 pub fn fleet_spec(quick: bool) -> FleetSpec {
-    // 8 s at 40 Hz = 320 corrections; windows follow the fault-catalog
-    // proportions (`fault_catalog`) at that run length.
-    let total_steps: u64 = 320;
-    let onset = total_steps / 4;
-    let end = onset + total_steps / 5;
-    let mid = total_steps / 2;
-    let budget = (total_steps / 4).clamp(40, 160);
-    let seed = 0xFA57;
-    let schedule =
-        |b: raceloc_faults::FaultScheduleBuilder| b.build().expect("fleet schedules are valid");
+    // 8 s at 40 Hz = 320 corrections.
+    let scenarios = fault_catalog(320)
+        .into_iter()
+        .filter(|s| ["nominal", "odom_slip", "pose_kidnap"].contains(&s.name.as_str()))
+        .collect();
     FleetSpec {
         name: "robustness-fleet".into(),
         master_seed: 2024,
-        replicates: if quick {
-            QUICK_REPLICATES
-        } else {
-            FULL_REPLICATES
-        },
+        replicates: replicates(quick),
         duration_s: 8.0,
         particles: 1200,
         beams: 271,
@@ -49,12 +69,7 @@ pub fn fleet_spec(quick: bool) -> FleetSpec {
         // longitudinal section of a symmetric circuit.
         success_lat_cm: 30.0,
         maps: vec![
-            MapSpec {
-                name: "fourier-33".into(),
-                fourier_seed: 33,
-                half_width: 1.25,
-                mean_radius: 6.0,
-            },
+            fourier_33(),
             MapSpec {
                 name: "fourier-77".into(),
                 fourier_seed: 77,
@@ -63,47 +78,37 @@ pub fn fleet_spec(quick: bool) -> FleetSpec {
             },
         ],
         grips: vec![
-            GripSpec {
-                name: "HQ".into(),
-                mu: MU_HIGH_QUALITY,
-            },
+            high_grip(),
             GripSpec {
                 name: "LQ".into(),
                 mu: MU_LOW_QUALITY,
             },
         ],
-        scenarios: vec![
-            ScenarioSpec {
-                name: "nominal".into(),
-                schedule: schedule(FaultSchedule::builder().seed(seed)),
-                measure_from: 0,
-                recovery_budget: None,
-            },
-            ScenarioSpec {
-                name: "odom_slip".into(),
-                schedule: schedule(
-                    FaultSchedule::builder()
-                        .seed(seed)
-                        .odom_slip(onset, end, 1.8),
-                ),
-                measure_from: end,
-                recovery_budget: None,
-            },
-            ScenarioSpec {
-                name: "pose_kidnap".into(),
-                schedule: schedule(FaultSchedule::builder().seed(seed).pose_kidnap(mid, 6.0)),
-                measure_from: mid,
-                recovery_budget: Some(budget),
-            },
-        ],
+        scenarios,
         // The robustness fleet stays on the uncapped budget; the budget ×
         // scenario sweep lives in the dedicated `deadline` bench.
         budgets: vec![0],
-        methods: vec![
-            EvalMethod::SynPf,
-            EvalMethod::Cartographer,
-            EvalMethod::DeadReckoning,
-        ],
+        methods: EvalMethod::all().to_vec(),
+    }
+}
+
+/// Builds the fault fleet: every [`fault_catalog`] scenario on the test
+/// track at HQ grip. `quick` only changes the replicate count.
+pub fn fault_spec(quick: bool) -> FleetSpec {
+    // 24 s at 40 Hz = 960 corrections.
+    FleetSpec {
+        name: "fault-fleet".into(),
+        master_seed: 2024,
+        replicates: replicates(quick),
+        duration_s: 24.0,
+        particles: 1200,
+        beams: 271,
+        success_lat_cm: 30.0,
+        maps: vec![fourier_33()],
+        grips: vec![high_grip()],
+        scenarios: fault_catalog(960),
+        budgets: vec![0],
+        methods: EvalMethod::all().to_vec(),
     }
 }
 
@@ -149,26 +154,48 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips_through_json() {
-        let spec = fleet_spec(false);
-        let text = format!("{}", spec.to_json());
-        let back = FleetSpec::from_json_str(&text).expect("parse back");
-        assert_eq!(back, spec);
+    fn fourier_33_is_the_test_track() {
+        assert_eq!(fourier_33().build_track().grid, crate::test_track().grid);
     }
 
     #[test]
-    fn fault_windows_fit_the_run() {
-        let spec = fleet_spec(false);
-        let steps = (spec.duration_s * 40.0).round() as u64;
-        for s in &spec.scenarios {
-            assert!(
-                s.measure_from < steps,
-                "{}: measure_from out of run",
-                s.name
-            );
-            for f in s.schedule.faults() {
-                assert!(f.window.start < steps, "{}: window beyond run", s.name);
-            }
+    fn specs_round_trip_through_json() {
+        for spec in [fleet_spec(false), fault_spec(false), fault_spec(true)] {
+            spec.validate().expect("checked-in spec is valid");
+            let text = format!("{}", spec.to_json());
+            let back = FleetSpec::from_json_str(&text).expect("parse back");
+            assert_eq!(back, spec);
         }
+    }
+
+    #[test]
+    fn fault_spec_covers_the_fault_space() {
+        let spec = fault_spec(false);
+        assert_eq!(spec.replicates, FULL_REPLICATES);
+        assert_eq!(spec.corrections(), 960);
+        assert!(spec.scenarios.len() >= 9, "nominal + ≥8 fault scenarios");
+        assert_eq!(spec.scenarios[0].name, "nominal");
+        assert_eq!(spec.methods, EvalMethod::all().to_vec());
+        // Unique names and in-run windows are `validate`'s job.
+        spec.validate().expect("fault spec is valid");
+        for gated in ["pose_kidnap", "lidar_blackout"] {
+            assert!(
+                spec.scenarios
+                    .iter()
+                    .any(|s| s.name == gated && s.recovery_budget.is_some()),
+                "{gated} must carry a recovery budget"
+            );
+        }
+    }
+
+    #[test]
+    fn quick_fault_spec_keeps_the_catalog() {
+        let quick = fault_spec(true);
+        let full = fault_spec(false);
+        quick.validate().expect("quick spec is valid");
+        assert_eq!(quick.replicates, QUICK_REPLICATES);
+        assert_eq!(quick.scenarios, full.scenarios);
+        assert_eq!(quick.cells().len(), full.cells().len());
+        assert_eq!(quick.world_seed(0, 0, 8, 1), full.world_seed(0, 0, 8, 1));
     }
 }

@@ -1,7 +1,8 @@
 //! Golden tests for the `fleet diff` regression gate (DESIGN.md §15):
 //! checked-in report pairs with a known ordering flip and a known
 //! Wilson-interval regression must each exit 1 with a byte-stable
-//! human-readable diff, and an identical pair must exit 0.
+//! human-readable diff, and an identical pair must exit 0. The same
+//! reports, wrapped with a spec, drive the exit codes of `fleet check`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -13,11 +14,15 @@ fn golden(name: &str) -> PathBuf {
 }
 
 fn run_diff(extra: &[&str]) -> Output {
+    run_fleet("diff", extra)
+}
+
+fn run_fleet(subcommand: &str, extra: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_fleet"))
-        .arg("diff")
+        .arg(subcommand)
         .args(extra)
         .output()
-        .expect("spawn fleet diff")
+        .expect("spawn fleet")
 }
 
 fn read_golden(name: &str) -> String {
@@ -90,4 +95,52 @@ fn usage_and_parse_failures_exit_two() {
         &path_arg("definitely-missing.json"),
     ]);
     assert_eq!(out.status.code(), Some(2), "unreadable report");
+}
+
+/// Writes a golden report wrapped as a `fleet` output file, with the quick
+/// robustness spec (whose `odom_slip` and `nominal` cells it matches).
+fn wrapped(name: &str) -> PathBuf {
+    let report = raceloc_obs::Json::parse(&read_golden(name)).expect("golden parses");
+    let doc = raceloc_obs::Json::Obj(vec![
+        (
+            "spec".into(),
+            raceloc_bench::fleet::fleet_spec(true).to_json(),
+        ),
+        ("report".into(), report),
+    ]);
+    let path =
+        std::env::temp_dir().join(format!("raceloc-fleet-check-{}-{name}", std::process::id()));
+    std::fs::write(&path, format!("{doc}\n")).expect("write wrapped report");
+    path
+}
+
+#[test]
+fn check_exit_codes_follow_diff() {
+    let clean = wrapped("diff_base.json");
+    let flipped = wrapped("diff_ordering_flip.json");
+    let clean_arg = clean.to_string_lossy().into_owned();
+    let flipped_arg = flipped.to_string_lossy().into_owned();
+
+    let out = run_fleet("check", &[&clean_arg]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let out = run_fleet("check", &[&clean_arg, &flipped_arg]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.contains("all gates passed"), "{stdout}");
+    assert!(stdout.contains("must be below Cartographer"), "{stdout}");
+
+    // Usage and parse failures exit 2 before anything is judged.
+    for args in [
+        vec![],
+        vec!["--out", clean_arg.as_str()],
+        vec![clean_arg.as_str(), "definitely-missing.json"],
+    ] {
+        let out = run_fleet("check", &args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+    }
+    let bare = path_arg("diff_base.json");
+    let out = run_fleet("check", &[&bare]);
+    assert_eq!(out.status.code(), Some(2), "a bare report has no spec");
+    let _ = std::fs::remove_file(clean);
+    let _ = std::fs::remove_file(flipped);
 }

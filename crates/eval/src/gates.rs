@@ -1,5 +1,6 @@
-//! Robustness gates: the paper's qualitative localizer ordering, encoded
-//! as hard checks over a [`FleetReport`].
+//! Robustness gates: the paper's qualitative localizer ordering and the
+//! fault catalog's recovery budgets, encoded as hard checks over a
+//! [`FleetReport`] (`fleet check` runs both).
 //!
 //! The source paper's central robustness findings are *ordinal*, not
 //! numeric: the synthetic-likelihood particle filter (SynPF) degrades
@@ -19,6 +20,7 @@
 //! track's symmetry, not of the localizer under test.
 
 use crate::aggregate::{CellSummary, FleetReport};
+use crate::spec::{EvalMethod, FleetSpec};
 
 /// Scenario label the slip-ordering gate keys on (the fault catalog's
 /// wheelspin burst).
@@ -58,11 +60,60 @@ pub fn ordering_violations(report: &FleetReport) -> Vec<String> {
     out
 }
 
-fn sanity(cell: &CellSummary, out: &mut Vec<String>) {
-    let tag = format!(
+/// Checks every cell against the recovery contract of its scenario.
+/// Returns one human-readable line per violation.
+///
+/// - A non-finite pose estimate in any replicate fails every method.
+/// - Under a scenario with a `recovery_budget`, every SynPF replicate must
+///   return to Nominal within that budget: no unrecovered replicate, and
+///   the slowest recovery at most the budget. Cartographer and dead
+///   reckoning are reported, never budget-gated.
+pub fn recovery_violations(spec: &FleetSpec, report: &FleetReport) -> Vec<String> {
+    let mut out = Vec::new();
+    for cell in &report.cells {
+        let tag = tag(cell);
+        if cell.nonfinite > 0 {
+            out.push(format!(
+                "{tag}: {} of {} replicates had a non-finite pose estimate",
+                cell.nonfinite, cell.runs
+            ));
+        }
+        if cell.method != EvalMethod::SynPf.name() {
+            continue;
+        }
+        let Some(budget) = spec
+            .scenarios
+            .iter()
+            .find(|s| s.name == cell.scenario)
+            .and_then(|s| s.recovery_budget)
+        else {
+            continue;
+        };
+        if cell.unrecovered > 0 {
+            out.push(format!(
+                "{tag}: {} of {} replicates never recovered to Nominal (budget {budget})",
+                cell.unrecovered, cell.runs
+            ));
+        }
+        if cell.max_recovery_steps > budget {
+            out.push(format!(
+                "{tag}: recovered in up to {} steps, budget {budget}",
+                cell.max_recovery_steps
+            ));
+        }
+    }
+    out
+}
+
+fn tag(cell: &CellSummary) -> String {
+    format!(
         "{} × {} × {} × b{} × {}",
         cell.map, cell.grip, cell.scenario, cell.budget, cell.method
-    );
+    )
+}
+
+fn sanity(cell: &CellSummary, out: &mut Vec<String>) {
+    let tag = tag(cell);
     if cell.runs == 0 {
         out.push(format!("{tag}: cell has no replicates"));
         return;
@@ -209,6 +260,52 @@ mod tests {
         empty.runs = 0;
         let v = ordering_violations(&report(vec![empty]));
         assert!(v.iter().any(|m| m.contains("no replicates")), "{v:?}");
+    }
+
+    #[test]
+    fn recovery_gate_judges_synpf_replicates_against_the_budget() {
+        let mut spec = crate::spec::tests::tiny_spec();
+        spec.scenarios.push(crate::spec::ScenarioSpec {
+            name: "pose_kidnap".into(),
+            schedule: raceloc_faults::FaultSchedule::builder()
+                .pose_kidnap(40, 6.0)
+                .build()
+                .expect("valid"),
+            measure_from: 40,
+            recovery_budget: Some(20),
+        });
+        let kidnap = |method: &str| cell("pose_kidnap", method, 50.0, 0.5);
+        let check = |c: CellSummary| recovery_violations(&spec, &report(vec![c]));
+
+        assert!(check(kidnap("SynPF")).is_empty(), "9 steps, budget 20");
+        let mut one_lost = kidnap("SynPF");
+        one_lost.recovered = 19;
+        one_lost.unrecovered = 1;
+        let v = check(one_lost);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("1 of 20 replicates never recovered"), "{v:?}");
+        let mut slow = kidnap("SynPF");
+        slow.max_recovery_steps = 21;
+        let v = check(slow);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("up to 21 steps, budget 20"), "{v:?}");
+        let mut nonfinite = kidnap("SynPF");
+        nonfinite.nonfinite = 1;
+        assert_eq!(check(nonfinite).len(), 1, "non-finite pose");
+
+        // Other methods, and scenarios without a budget, are never
+        // budget-gated — but a non-finite pose fails them all.
+        for method in ["Cartographer", "DeadReckoning"] {
+            let mut c = kidnap(method);
+            c.unrecovered = 20;
+            c.max_recovery_steps = 500;
+            assert!(check(c.clone()).is_empty(), "{method}");
+            c.nonfinite = 2;
+            assert_eq!(check(c).len(), 1, "{method}: non-finite pose");
+        }
+        let mut nominal = cell(NOMINAL_SCENARIO, "SynPF", 5.0, 1.0);
+        nominal.unrecovered = 20;
+        assert!(check(nominal).is_empty(), "nominal has no budget");
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! - [`ordering_violations`] encodes the paper's qualitative findings
 //!   (SynPF degrades gracefully under odometry slip where Cartographer
 //!   diverges; dead reckoning is the nominal-scenario worst case) as CI
-//!   gates.
+//!   gates, and [`recovery_violations`] holds SynPF to each scenario's
+//!   recovery budget over every replicate.
 //!
 //! Every world seed is a pure function of `(master_seed, map, grip,
 //! scenario, replicate)` — the localizer is deliberately excluded so all
@@ -76,7 +77,7 @@ pub use aggregate::{
 };
 pub use cache::{cell_hash, code_fingerprint, CellCache, Fnv64, RESULT_REVISION};
 pub use diff::{diff_reports, ReportDiff};
-pub use gates::{ordering_violations, NOMINAL_SCENARIO, SLIP_SCENARIO};
+pub use gates::{ordering_violations, recovery_violations, NOMINAL_SCENARIO, SLIP_SCENARIO};
 pub use runner::{
     execute_run, run_fleet, run_fleet_with, FleetCtx, FleetError, FleetRunOptions, FleetRunStats,
     MapResources, RunOutcome,

@@ -91,8 +91,11 @@ pub struct RunOutcome {
     /// quantity that steers the car off line when the estimate is wrong.
     pub mean_lat_err_cm: f64,
     /// Corrections from the scenario's `measure_from` until health settles
-    /// at Nominal for the rest of the run (see `bench::faults` for the
-    /// exact convention); `None` when the run ends still non-Nominal.
+    /// at Nominal for the rest of the run: one past the *last* non-Nominal
+    /// correction at or after `measure_from`, minus `measure_from` — so a
+    /// detector that fires a few corrections late cannot report a spurious
+    /// instant recovery. `Some(0)` when health never leaves Nominal from
+    /// `measure_from` on; `None` when the run ends still non-Nominal.
     pub recovery_steps: Option<u64>,
     /// Fraction of corrections spent in [`Health::Nominal`].
     pub pct_nominal: f64,

@@ -14,6 +14,7 @@ use raceloc_core::{stream_keys, Rng64};
 use raceloc_faults::FaultSchedule;
 use raceloc_map::{Track, TrackShape, TrackSpec};
 use raceloc_obs::Json;
+use raceloc_sim::WorldConfig;
 
 /// A fleet-spec validation or parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,8 +118,9 @@ pub struct ScenarioSpec {
     pub schedule: FaultSchedule,
     /// Correction step from which recovery latency is measured.
     pub measure_from: u64,
-    /// Budget (in corrections) a health-monitored localizer has to return
-    /// to Nominal; `None` reports recovery without gating it.
+    /// Budget (in corrections) within which every SynPF replicate must
+    /// return to Nominal ([`crate::recovery_violations`]); `None` reports
+    /// recovery without gating it.
     pub recovery_budget: Option<u64>,
 }
 
@@ -178,7 +180,7 @@ impl EvalMethod {
         ]
     }
 
-    /// The stable row label (matches `BENCH_faults.json` conventions).
+    /// The stable row label of report cells.
     pub fn name(&self) -> &'static str {
         match self {
             EvalMethod::SynPf => "SynPF",
@@ -302,6 +304,29 @@ impl FleetSpec {
         if !(self.success_lat_cm.is_finite() && self.success_lat_cm > 0.0) {
             return Err(SpecError::new("success_lat_cm must be positive"));
         }
+        // A window or measurement point past the run end would silently
+        // turn its scenario into a nominal one that recovers in 0 steps.
+        let corrections = self.corrections();
+        for s in &self.scenarios {
+            if s.measure_from >= corrections {
+                return Err(SpecError::new(format!(
+                    "scenario {:?}: measure_from {} is not before the run's end                      ({corrections} corrections)",
+                    s.name, s.measure_from
+                )));
+            }
+            if let Some(f) = s
+                .schedule
+                .faults()
+                .iter()
+                .find(|f| f.window.start >= corrections)
+            {
+                return Err(SpecError::new(format!(
+                    "scenario {:?}: fault window starts at {}, not before the run's end \
+                     ({corrections} corrections)",
+                    s.name, f.window.start
+                )));
+            }
+        }
         for m in &self.maps {
             if !(m.half_width.is_finite() && m.half_width > 0.5) {
                 return Err(SpecError::new(format!(
@@ -329,6 +354,12 @@ impl FleetSpec {
         check_unique("scenario", self.scenarios.iter().map(|s| s.name.as_str()))?;
         check_unique("method", self.methods.iter().map(EvalMethod::name))?;
         Ok(())
+    }
+
+    /// Scan corrections one run executes: `duration_s` at the simulator's
+    /// LiDAR rate. Scenario step indices live on this clock.
+    pub fn corrections(&self) -> u64 {
+        (self.duration_s * WorldConfig::default().lidar_hz).round() as u64
     }
 
     /// Every aggregated cell in canonical order: maps (outer) × grips ×
@@ -676,6 +707,16 @@ pub(crate) mod tests {
         let mut s = tiny_spec();
         s.budgets = vec![50_000, 50_000];
         assert!(s.validate().is_err(), "duplicate budget");
+        let mut s = tiny_spec();
+        s.scenarios[1].measure_from = s.corrections();
+        assert!(s.validate().is_err(), "recovery measured from the run end");
+        let mut s = tiny_spec();
+        s.scenarios[1].schedule = FaultSchedule::builder()
+            .seed(1)
+            .odom_slip(80, 90, 1.8)
+            .build()
+            .expect("valid");
+        assert!(s.validate().is_err(), "fault window after the run end");
         assert!(FleetSpec::from_json_str("{}").is_err());
         assert!(FleetSpec::from_json_str("not json").is_err());
     }

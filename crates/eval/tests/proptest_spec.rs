@@ -3,7 +3,8 @@
 //! serialize → parse must be *identical* — same struct, same canonical
 //! JSON, same world seeds, and (crucially for DESIGN.md §15) the same
 //! content-addressed cell hashes, so writing a spec to disk and reading
-//! it back never invalidates a single cache entry.
+//! it back never invalidates a single cache entry. A spec whose scenario
+//! timing falls past the run end never parses.
 
 use proptest::prelude::*;
 use raceloc_eval::{cell_hash, EvalMethod, FleetSpec, GripSpec, MapSpec, ScenarioSpec};
@@ -42,7 +43,9 @@ fn arb_spec() -> impl Strategy<Value = FleetSpec> {
         (
             1u64..(1 << 53),
             1u32..6,
-            0.5f64..10.0,
+            // ≥ 4 s = 160 corrections: every drawn window and measurement
+            // point (< 150) falls inside the run, as `validate` requires.
+            4.0f64..10.0,
             50usize..500,
             10.0f64..300.0,
         ),
@@ -185,5 +188,23 @@ proptest! {
                 "budgets must not perturb the paired world seeds"
             );
         }
+    }
+
+    #[test]
+    fn scenarios_past_the_run_end_are_rejected(spec in arb_spec(), past in 0u64..50) {
+        // A late window or measurement point would make the scenario a
+        // silent nominal one that "recovers" in 0 steps.
+        let end = spec.corrections() + past;
+        let mut late = spec.clone();
+        late.scenarios[0].measure_from = end;
+        prop_assert!(late.validate().is_err(), "measure_from at {end}");
+        let mut late = spec;
+        late.scenarios[0].measure_from = 0;
+        late.scenarios[0].schedule = FaultSchedule::builder()
+            .odom_slip(end, end + 5, 1.5)
+            .build()
+            .expect("single ordered window");
+        prop_assert!(late.validate().is_err(), "window at {end}");
+        prop_assert!(FleetSpec::from_json_str(&format!("{}", late.to_json())).is_err());
     }
 }
