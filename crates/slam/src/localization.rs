@@ -17,7 +17,7 @@ use std::borrow::Cow;
 
 use crate::probgrid::ProbabilityGrid;
 use crate::scan_matcher::{
-    downsample_into, CorrelativeScanMatcher, GaussNewtonRefiner, SearchWindow,
+    downsample_into, CorrelativeScanMatcher, GaussNewtonRefiner, MatchResult, SearchWindow,
 };
 use raceloc_core::localizer::Localizer;
 use raceloc_core::sensor_data::{LaserScan, Odometry};
@@ -143,8 +143,9 @@ pub struct CartoLocalizer {
     last_odom: Option<Odometry>,
     last_score: f64,
     tel: Telemetry,
-    /// Per-stage timings of the last correction (refine, and optionally the
-    /// correlative rescue), for [`Localizer::diagnostics`].
+    /// Per-stage timings of the last correction, for
+    /// [`Localizer::diagnostics`]: `refine`, then `correlative` when the
+    /// correlative search runs; `refine` then totals both refines.
     last_stages: Vec<(Cow<'static, str>, f64)>,
     /// Health state machine (DESIGN.md §12); only fed when
     /// [`CartoLocalizerConfig::health`] is set.
@@ -153,11 +154,34 @@ pub struct CartoLocalizer {
 
 impl CartoLocalizer {
     /// Books one pipeline stage's wall-clock share into the stage list
-    /// surfaced by [`Localizer::diagnostics`]. The list is cleared at the
-    /// start of each correction and retains its capacity, so steady-state
-    /// corrections append without reallocating.
+    /// surfaced by [`Localizer::diagnostics`]; a stage that runs twice in
+    /// one correction adds to its first entry, so each name appears once.
+    /// The list is cleared at the start of each correction and retains its
+    /// capacity, so steady-state corrections append without reallocating.
     fn record_stage(&mut self, name: &'static str, seconds: f64) {
-        self.last_stages.push((Cow::Borrowed(name), seconds));
+        match self.last_stages.iter_mut().find(|(n, _)| n == name) {
+            Some((_, total)) => *total += seconds,
+            None => self.last_stages.push((Cow::Borrowed(name), seconds)),
+        }
+    }
+
+    /// Gauss–Newton refinement of `initial` against the map, pulled toward
+    /// `prior` by the configured weights; books one `slam.refine` span and
+    /// adds its time to the `refine` stage.
+    fn refine(&mut self, initial: Pose2, prior: Pose2) -> MatchResult {
+        let started = Stopwatch::start();
+        let result = self.refiner.refine_with_prior(
+            &self.grid,
+            &self.points,
+            initial,
+            prior,
+            self.config.prior_translation_weight,
+            self.config.prior_rotation_weight,
+        );
+        let seconds = started.elapsed_seconds();
+        self.tel.record_span("slam.refine", seconds);
+        self.record_stage("refine", seconds);
+        result
     }
 
     /// Builds the localizer from a shared [`MapArtifacts`] bundle — the
@@ -189,6 +213,9 @@ impl CartoLocalizer {
 
     /// Attaches a telemetry handle: corrections record the
     /// `slam.refine`, `slam.correlative`, and `slam.correct` spans into it.
+    /// `slam.correlative` times the correlative search alone, and each
+    /// Gauss–Newton refine (the direct one, and the one polishing the
+    /// search's pose) is its own `slam.refine` span.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.tel = tel;
     }
@@ -267,34 +294,16 @@ impl Localizer for CartoLocalizer {
         let correct_started = Stopwatch::start();
         self.last_stages.clear();
         let prior = self.pose * self.config.lidar_mount;
-        let refine_started = Stopwatch::start();
-        let direct = self.refiner.refine_with_prior(
-            &self.grid,
-            &self.points,
-            prior,
-            prior,
-            self.config.prior_translation_weight,
-            self.config.prior_rotation_weight,
-        );
-        let refine_seconds = refine_started.elapsed_seconds();
-        self.tel.record_span("slam.refine", refine_seconds);
-        self.record_stage("refine", refine_seconds);
+        let direct = self.refine(prior, prior);
         let fine = if direct.score < self.config.correlative_rescue_score {
-            let rescue_started = Stopwatch::start();
+            let match_started = Stopwatch::start();
             let coarse =
                 self.matcher
                     .match_scan(&self.grid, &self.points, prior, self.config.window);
-            let rescued = self.refiner.refine_with_prior(
-                &self.grid,
-                &self.points,
-                coarse.pose,
-                prior,
-                self.config.prior_translation_weight,
-                self.config.prior_rotation_weight,
-            );
-            let rescue_seconds = rescue_started.elapsed_seconds();
-            self.tel.record_span("slam.correlative", rescue_seconds);
-            self.record_stage("correlative", rescue_seconds);
+            let match_seconds = match_started.elapsed_seconds();
+            self.tel.record_span("slam.correlative", match_seconds);
+            self.record_stage("correlative", match_seconds);
+            let rescued = self.refine(coarse.pose, prior);
             if rescued.score > direct.score {
                 rescued
             } else {
@@ -507,9 +516,23 @@ mod tests {
         assert_eq!(d.particles, Some(1));
         assert_eq!(d.match_score, Some(loc.last_score()));
         assert!(d.stage("refine").expect("refine stage") >= 0.0);
+        let names: Vec<&str> = d.stages.iter().map(|(n, _)| n.as_ref()).collect();
+        assert_eq!(names, ["refine", "correlative"]);
         let snap = tel.snapshot();
-        assert_eq!(snap.span("slam.correct").expect("span").count, 1);
-        assert!(snap.span("slam.refine").is_some());
+        let correct = snap.span("slam.correct").expect("correct span");
+        assert_eq!(correct.count, 1);
+        assert_eq!(snap.span("slam.correlative").expect("span").count, 1);
+        let refine = snap.span("slam.refine").expect("refine span");
+        assert_eq!(refine.count, 2);
+        // The refine stage totals both refines.
+        assert_eq!(d.stage("refine"), Some(refine.total_seconds));
+        // The stages are disjoint parts of the correction.
+        assert!(
+            d.stages_total() <= correct.total_seconds,
+            "stages {} > correct {}",
+            d.stages_total(),
+            correct.total_seconds
+        );
     }
 
     #[test]

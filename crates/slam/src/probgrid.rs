@@ -2,7 +2,8 @@
 //!
 //! Each cell stores the probability that it is occupied, updated through
 //! odds multiplication with per-observation hit/miss factors (Hess et al.,
-//! ICRA 2016 §IV). Unknown cells carry no information until first observed.
+//! ICRA 2016 §IV). Unknown cells carry no information until first observed:
+//! they read as 0.5, and a separate mask records which cells have been.
 
 use raceloc_core::{Point2, Pose2};
 use raceloc_map::{CellState, GridIndex, OccupancyGrid};
@@ -45,8 +46,12 @@ pub struct ProbabilityGrid {
     height: usize,
     resolution: f64,
     origin: Point2,
-    /// Probability per cell; negative = never observed (unknown).
+    /// The value each cell reads as, row-major: its probability, or 0.5
+    /// while never observed. One trailing cell past the grid also reads
+    /// 0.5; every off-grid read lands on it.
     cells: Vec<f32>,
+    /// Whether each cell has been observed at least once.
+    known: Vec<bool>,
 }
 
 impl ProbabilityGrid {
@@ -63,7 +68,8 @@ impl ProbabilityGrid {
             height,
             resolution,
             origin,
-            cells: vec![-1.0; width * height],
+            cells: vec![0.5; width * height + 1],
+            known: vec![false; width * height],
         }
     }
 
@@ -78,12 +84,12 @@ impl ProbabilityGrid {
             grid.origin(),
         );
         for (idx, state) in grid.iter() {
-            let i = idx.row as usize * pg.width + idx.col as usize;
-            pg.cells[i] = match state {
-                CellState::Occupied => P_MAX as f32,
-                CellState::Free => P_MIN as f32,
-                CellState::Unknown => -1.0,
+            let p = match state {
+                CellState::Occupied => P_MAX,
+                CellState::Free => P_MIN,
+                CellState::Unknown => continue,
             };
+            pg.store(idx.row as usize * pg.width + idx.col as usize, p);
         }
         pg
     }
@@ -138,8 +144,7 @@ impl ProbabilityGrid {
             }
             let d = dist.distance(idx);
             let p = P_MIN + (P_MAX - P_MIN) * (-0.5 * d * d / (sigma * sigma)).exp();
-            let i = idx.row as usize * pg.width + idx.col as usize;
-            pg.cells[i] = p as f32;
+            pg.store(idx.row as usize * pg.width + idx.col as usize, p);
         }
         pg
     }
@@ -199,11 +204,26 @@ impl ProbabilityGrid {
         }
     }
 
+    /// Flat index of the trailing cell that every off-grid read lands on.
+    #[inline]
+    pub(crate) fn off_grid(&self) -> usize {
+        self.width * self.height
+    }
+
+    /// The read values of the grid's cells plus the trailing off-grid
+    /// cell, row-major: `read_table()[row · width + col]` is what
+    /// [`ProbabilityGrid::probability`] returns as f32, and
+    /// `read_table()[off_grid]` is 0.5.
+    #[inline]
+    pub(crate) fn read_table(&self) -> &[f32] {
+        &self.cells
+    }
+
     /// Occupancy probability of a cell; unknown and out-of-bounds cells read
     /// as 0.5 (no information).
     #[inline]
     pub fn probability(&self, idx: GridIndex) -> f64 {
-        self.flat(idx).map_or(0.5, |i| self.probability_flat(i))
+        self.probability_flat(self.flat(idx).unwrap_or(self.off_grid()))
     }
 
     /// Occupancy probability of the cell at flat index `row · width +
@@ -211,16 +231,44 @@ impl ProbabilityGrid {
     /// [`ProbabilityGrid::probability`].
     #[inline]
     pub fn probability_flat(&self, i: usize) -> f64 {
-        match self.cells.get(i) {
-            Some(&p) if p >= 0.0 => p as f64,
-            _ => 0.5,
-        }
+        f64::from(self.cells[i.min(self.off_grid())])
     }
 
     /// True when the cell has been observed at least once.
     #[inline]
     pub fn is_known(&self, idx: GridIndex) -> bool {
-        self.flat(idx).is_some_and(|i| self.cells[i] >= 0.0)
+        self.flat(idx).is_some_and(|i| self.known[i])
+    }
+
+    /// Marks cell `i` observed with probability `p`, rounded to the
+    /// stored precision.
+    #[inline]
+    fn store(&mut self, i: usize, p: f64) {
+        self.cells[i] = p as f32;
+        self.known[i] = true;
+    }
+
+    /// The four cells around the bilinear sample point `(c0, r0)`:
+    /// `[p(c0, r0), p(c0+1, r0), p(c0, r0+1), p(c0+1, r0+1)]`, each read
+    /// as [`ProbabilityGrid::probability`] does. A column or row outside
+    /// the grid is replaced by the off-grid marker, so every read is one
+    /// unconditional load.
+    #[inline]
+    fn quad(&self, c0: i64, r0: i64) -> [f64; 4] {
+        let off_grid = self.off_grid();
+        let axis = |i: i64, cells: usize, scale: usize| {
+            if i >= 0 && (i as usize) < cells {
+                i as usize * scale
+            } else {
+                off_grid
+            }
+        };
+        let (ca, cb) = (axis(c0, self.width, 1), axis(c0 + 1, self.width, 1));
+        let (ra, rb) = (
+            axis(r0, self.height, self.width),
+            axis(r0 + 1, self.height, self.width),
+        );
+        [ra + ca, ra + cb, rb + ca, rb + cb].map(|i| self.probability_flat(i))
     }
 
     /// Bilinearly interpolated probability at a world point (the smooth
@@ -233,12 +281,7 @@ impl ProbabilityGrid {
         let r0 = gy.floor();
         let tx = gx - c0;
         let ty = gy - r0;
-        let sample =
-            |dc: i64, dr: i64| self.probability(GridIndex::new(c0 as i64 + dc, r0 as i64 + dr));
-        let p00 = sample(0, 0);
-        let p10 = sample(1, 0);
-        let p01 = sample(0, 1);
-        let p11 = sample(1, 1);
+        let [p00, p10, p01, p11] = self.quad(c0 as i64, r0 as i64);
         p00 * (1.0 - tx) * (1.0 - ty)
             + p10 * tx * (1.0 - ty)
             + p01 * (1.0 - tx) * ty
@@ -255,12 +298,7 @@ impl ProbabilityGrid {
         let r0 = gy.floor();
         let tx = gx - c0;
         let ty = gy - r0;
-        let sample =
-            |dc: i64, dr: i64| self.probability(GridIndex::new(c0 as i64 + dc, r0 as i64 + dr));
-        let p00 = sample(0, 0);
-        let p10 = sample(1, 0);
-        let p01 = sample(0, 1);
-        let p11 = sample(1, 1);
+        let [p00, p10, p01, p11] = self.quad(c0 as i64, r0 as i64);
         let value = p00 * (1.0 - tx) * (1.0 - ty)
             + p10 * tx * (1.0 - ty)
             + p01 * (1.0 - tx) * ty
@@ -274,7 +312,7 @@ impl ProbabilityGrid {
     /// band); used when merging grids. No-op out of bounds.
     pub fn set_probability(&mut self, idx: GridIndex, p: f64) {
         if let Some(i) = self.flat(idx) {
-            self.cells[i] = p.clamp(P_MIN, P_MAX) as f32;
+            self.store(i, p.clamp(P_MIN, P_MAX));
         }
     }
 
@@ -290,13 +328,10 @@ impl ProbabilityGrid {
 
     fn apply_odds(&mut self, idx: GridIndex, factor: f64) {
         let Some(i) = self.flat(idx) else { return };
-        let prior = if self.cells[i] >= 0.0 {
-            self.cells[i] as f64
-        } else {
-            0.5
-        };
+        // An unknown cell reads 0.5, the prior of a first observation.
+        let prior = self.probability_flat(i);
         let posterior = from_odds(odds(prior) * factor).clamp(P_MIN, P_MAX);
-        self.cells[i] = posterior as f32;
+        self.store(i, posterior);
     }
 
     /// Integrates one scan taken from `sensor_pose` (world frame): the cells
@@ -424,6 +459,7 @@ fn traverse<F: FnMut(GridIndex) -> bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use raceloc_core::sensor_data::LaserScan;
 
     #[test]
@@ -538,5 +574,159 @@ mod tests {
     #[should_panic(expected = "dimensions")]
     fn zero_size_panics() {
         ProbabilityGrid::new(0, 1, 0.1, Point2::ORIGIN);
+    }
+
+    /// The encoding the read table replaced: one f32 per cell, `-1.0`
+    /// while never observed. Kept as the oracle of the grid's reads.
+    struct SentinelGrid {
+        width: usize,
+        height: usize,
+        cells: Vec<f32>,
+    }
+
+    impl SentinelGrid {
+        fn flat(&self, idx: GridIndex) -> Option<usize> {
+            let inside = idx.col >= 0
+                && idx.row >= 0
+                && (idx.col as usize) < self.width
+                && (idx.row as usize) < self.height;
+            inside.then(|| idx.row as usize * self.width + idx.col as usize)
+        }
+
+        fn probability_flat(&self, i: usize) -> f64 {
+            match self.cells.get(i) {
+                Some(&p) if p >= 0.0 => p as f64,
+                _ => 0.5,
+            }
+        }
+
+        fn probability(&self, idx: GridIndex) -> f64 {
+            self.flat(idx).map_or(0.5, |i| self.probability_flat(i))
+        }
+
+        fn is_known(&self, idx: GridIndex) -> bool {
+            self.flat(idx).is_some_and(|i| self.cells[i] >= 0.0)
+        }
+
+        fn apply_odds(&mut self, idx: GridIndex, factor: f64) {
+            let Some(i) = self.flat(idx) else { return };
+            let prior = if self.cells[i] >= 0.0 {
+                self.cells[i] as f64
+            } else {
+                0.5
+            };
+            self.cells[i] = from_odds(odds(prior) * factor).clamp(P_MIN, P_MAX) as f32;
+        }
+
+        fn set_probability(&mut self, idx: GridIndex, p: f64) {
+            if let Some(i) = self.flat(idx) {
+                self.cells[i] = p.clamp(P_MIN, P_MAX) as f32;
+            }
+        }
+
+        /// `(P, dP/dx, dP/dy)` at grid coordinates `(gx, gy)` (cell
+        /// centres at half-integers), sampled cell by cell.
+        fn bilinear(&self, gx: f64, gy: f64, res: f64) -> (f64, f64, f64) {
+            let (c0, r0) = ((gx - 0.5).floor(), (gy - 0.5).floor());
+            let (tx, ty) = (gx - 0.5 - c0, gy - 0.5 - r0);
+            let p =
+                |dc: i64, dr: i64| self.probability(GridIndex::new(c0 as i64 + dc, r0 as i64 + dr));
+            let (p00, p10, p01, p11) = (p(0, 0), p(1, 0), p(0, 1), p(1, 1));
+            let value = p00 * (1.0 - tx) * (1.0 - ty)
+                + p10 * tx * (1.0 - ty)
+                + p01 * (1.0 - tx) * ty
+                + p11 * tx * ty;
+            let ddx = ((p10 - p00) * (1.0 - ty) + (p11 - p01) * ty) / res;
+            let ddy = ((p01 - p00) * (1.0 - tx) + (p11 - p10) * tx) / res;
+            (value, ddx, ddy)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any sequence of hits, misses and direct writes, some of them
+        /// off the grid, leaves every read equal to the sentinel-encoded
+        /// model's: `probability` and `probability_flat` bit for bit
+        /// (including indices past the grid), `is_known`, `to_occupancy`,
+        /// and the bilinear reads the refiner takes.
+        #[test]
+        fn reads_match_the_sentinel_model(
+            (width, height) in (1usize..12, 1usize..10),
+            ops in prop::collection::vec(
+                (0u8..3, -2i64..14, -2i64..12, 0.0..1.0f64),
+                0..120,
+            ),
+            samples in prop::collection::vec(
+                (-2.0..15.0f64, -2.0..13.0f64),
+                1..20,
+            ),
+        ) {
+            let res = 0.1;
+            let mut grid = ProbabilityGrid::new(width, height, res, Point2::ORIGIN);
+            let mut model = SentinelGrid {
+                width,
+                height,
+                cells: vec![-1.0; width * height],
+            };
+            for &(op, col, row, p) in &ops {
+                let idx = GridIndex::new(col, row);
+                match op {
+                    0 => {
+                        grid.apply_hit(idx);
+                        model.apply_odds(idx, odds(P_HIT));
+                    }
+                    1 => {
+                        grid.apply_miss(idx);
+                        model.apply_odds(idx, odds(P_MISS));
+                    }
+                    _ => {
+                        grid.set_probability(idx, p);
+                        model.set_probability(idx, p);
+                    }
+                }
+            }
+            for row in -2..height as i64 + 2 {
+                for col in -2..width as i64 + 2 {
+                    let idx = GridIndex::new(col, row);
+                    prop_assert_eq!(
+                        grid.probability(idx).to_bits(),
+                        model.probability(idx).to_bits()
+                    );
+                    prop_assert_eq!(grid.is_known(idx), model.is_known(idx));
+                }
+            }
+            for i in 0..width * height + 3 {
+                prop_assert_eq!(
+                    grid.probability_flat(i).to_bits(),
+                    model.probability_flat(i).to_bits()
+                );
+            }
+            let occupancy = grid.to_occupancy(0.6, 0.35);
+            for row in 0..height as i64 {
+                for col in 0..width as i64 {
+                    let idx = GridIndex::new(col, row);
+                    let p = model.probability(idx);
+                    let want = if !model.is_known(idx) {
+                        CellState::Unknown
+                    } else if p >= 0.6 {
+                        CellState::Occupied
+                    } else if p <= 0.35 {
+                        CellState::Free
+                    } else {
+                        CellState::Unknown
+                    };
+                    prop_assert_eq!(occupancy.state(idx), want);
+                }
+            }
+            for &(gx, gy) in &samples {
+                let at = Point2::new(gx * res, gy * res);
+                let (value, ddx, ddy) = grid.probability_with_gradient(at);
+                let bits = |v: (f64, f64, f64)| [v.0.to_bits(), v.1.to_bits(), v.2.to_bits()];
+                let want = model.bilinear(at.x / res, at.y / res, res);
+                prop_assert_eq!(bits((value, ddx, ddy)), bits(want));
+                prop_assert_eq!(grid.probability_at(at).to_bits(), want.0.to_bits());
+            }
+        }
     }
 }

@@ -84,14 +84,19 @@ pub struct CorrelativeScanMatcher {
     /// The window's translational offsets `i · linear_step`, in search
     /// order; `span` of them.
     offsets: Vec<f64>,
-    /// `cols[j * span + ix]`: grid column of point `j` shifted by the
+    /// World x of every point placed at the current angle.
+    xs: Vec<f64>,
+    /// World y of every point placed at the current angle.
+    ys: Vec<f64>,
+    /// `cols[ix * n + j]`: grid column of point `j` shifted by the
     /// `ix`-th x offset, or `width · height` off the grid.
     cols: Vec<usize>,
-    /// `rows[j * span + iy]`: flat offset (`row · width`) of point `j`'s
+    /// `rows[iy * n + j]`: flat offset (`row · width`) of point `j`'s
     /// row shifted by the `iy`-th y offset, or `width · height` off the
     /// grid.
     rows: Vec<usize>,
-    /// Running sums of one x offset's `span` candidates.
+    /// `totals[iy]`: the summed cell reads of the current angle's
+    /// candidate at the current x offset and the `iy`-th y offset.
     totals: Vec<f64>,
 }
 
@@ -110,6 +115,8 @@ impl CorrelativeScanMatcher {
             linear_step,
             angular_step,
             offsets: Vec::new(),
+            xs: Vec::new(),
+            ys: Vec::new(),
             cols: Vec::new(),
             rows: Vec::new(),
             totals: Vec::new(),
@@ -137,7 +144,8 @@ impl CorrelativeScanMatcher {
     /// replace the best only on a strictly higher score. Each point is
     /// placed at `initial` once per angle and then shifted by the
     /// candidate's offsets, so the result is bit-identical to indexing
-    /// every point afresh for every candidate with that arithmetic.
+    /// every point afresh for every candidate with that arithmetic. A
+    /// negative window extent searches as zero.
     pub fn match_scan(
         &mut self,
         grid: &ProbabilityGrid,
@@ -152,8 +160,8 @@ impl CorrelativeScanMatcher {
         if points.is_empty() {
             return best;
         }
-        let n_ang = (window.angular / self.angular_step).ceil() as i64;
-        let n_lin = (window.linear / self.linear_step).ceil() as i64;
+        let n_ang = ((window.angular / self.angular_step).ceil() as i64).max(0);
+        let n_lin = ((window.linear / self.linear_step).ceil() as i64).max(0);
         let n = points.len();
         let origin = grid.origin();
         let res = grid.resolution();
@@ -163,50 +171,41 @@ impl CorrelativeScanMatcher {
             .extend((-n_lin..=n_lin).map(|i| i as f64 * self.linear_step));
         let span = self.offsets.len();
         // A valid row offset plus a valid column is below `width · height`;
-        // either marker pushes the sum to or past it, where the grid reads
-        // 0.5 just as `probability` does off the grid.
-        let off_grid = width * height;
-        // `scale · ⌊(v + d − o) / res⌋` for every offset `d`, or the marker
-        // where the cell index leaves `0..cells`.
-        let tabulate = |out: &mut [usize], offsets: &[f64], v: f64, o: f64, cells: usize, scale| {
-            for (slot, &d) in out.iter_mut().zip(offsets) {
-                let i = ((v + d - o) / res).floor() as i64;
-                *slot = if i >= 0 && (i as usize) < cells {
-                    i as usize * scale
-                } else {
-                    off_grid
-                };
-            }
-        };
-        self.cols.resize(n * span, 0);
-        self.rows.resize(n * span, 0);
+        // either marker pushes the sum to or past it, and the read clamps
+        // it onto the trailing cell, which reads 0.5 just as `probability`
+        // does off the grid.
+        let off_grid = grid.off_grid();
+        // Sliced so the compiler sees that every clamped index is in bounds.
+        let cells = &grid.read_table()[..=off_grid];
+        self.xs.resize(n, 0.0);
+        self.ys.resize(n, 0.0);
+        self.cols.resize(span * n, 0);
+        self.rows.resize(span * n, 0);
         self.totals.resize(span, 0.0);
         for ia in -n_ang..=n_ang {
             let theta = initial.theta + ia as f64 * self.angular_step;
             // Rotate (and translate by the initial position) once per
             // angle, then tabulate every shifted column and row.
             let base = Pose2::new(initial.x, initial.y, theta);
+            for ((x, y), &p) in self.xs.iter_mut().zip(&mut self.ys).zip(points) {
+                let w = base.transform(p);
+                (*x, *y) = (w.x, w.y);
+            }
             let tables = self
                 .cols
-                .chunks_exact_mut(span)
-                .zip(self.rows.chunks_exact_mut(span));
-            for (&p, (cols, rows)) in points.iter().zip(tables) {
-                let w = base.transform(p);
-                tabulate(cols, &self.offsets, w.x, origin.x, width, 1);
-                tabulate(rows, &self.offsets, w.y, origin.y, height, width);
+                .chunks_exact_mut(n)
+                .zip(self.rows.chunks_exact_mut(n));
+            for ((cols, rows), &d) in tables.zip(&self.offsets) {
+                tabulate(cols, &self.xs, d, origin.x, res, width, 1, off_grid);
+                tabulate(rows, &self.ys, d, origin.y, res, height, width, off_grid);
             }
             for (kx, &dx) in self.offsets.iter().enumerate() {
                 // All `span` candidates of this x offset accumulate side by
                 // side, each over the points in order.
                 self.totals.fill(0.0);
-                let tables = self
-                    .cols
-                    .chunks_exact(span)
-                    .zip(self.rows.chunks_exact(span));
-                for (cols, rows) in tables {
-                    let col = cols[kx];
-                    for (total, &row) in self.totals.iter_mut().zip(rows) {
-                        *total += grid.probability_flat(row + col);
+                for (j, &col) in self.cols[kx * n..][..n].iter().enumerate() {
+                    for (total, rows) in self.totals.iter_mut().zip(self.rows.chunks_exact(n)) {
+                        *total += f64::from(cells[(rows[j] + col).min(off_grid)]);
                     }
                 }
                 for (&total, &dy) in self.totals.iter().zip(&self.offsets) {
@@ -221,6 +220,37 @@ impl CorrelativeScanMatcher {
             }
         }
         best
+    }
+}
+
+/// 2⁵²: adding it to an integer-valued f64 in `[0, 2⁵²)` leaves that
+/// integer in the low mantissa bits.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// Fills `out[j]` with `scale · ⌊(vs[j] + d − o) / res⌋`, or `off_grid`
+/// where that cell index leaves `0..cells`, as `world_to_index` computes
+/// it. The bounds are tested on the floored value, which equals testing
+/// its `i64` cast: a NaN casts to 0, so it counts as inside and `max`
+/// maps it to 0. The integer is read from the mantissa rather than by a
+/// saturating cast, so the loop stays in vector registers.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn tabulate(
+    out: &mut [usize],
+    vs: &[f64],
+    d: f64,
+    o: f64,
+    res: f64,
+    cells: usize,
+    scale: usize,
+    off_grid: usize,
+) {
+    let (cells, scale, off_grid) = (cells as f64, scale as f64, off_grid as f64);
+    for (slot, &v) in out.iter_mut().zip(vs) {
+        let i = ((v + d - o) / res).floor();
+        let inside = i.is_nan() || (i >= 0.0 && i < cells);
+        let index = if inside { i.max(0.0) * scale } else { off_grid };
+        *slot = ((index + TWO_52).to_bits() - TWO_52.to_bits()) as usize;
     }
 }
 
@@ -483,25 +513,65 @@ mod tests {
     }
 
     /// On the room map the kernel and the reference agree bit for bit with
-    /// the pure localizer's default window and steps, from the true pose
-    /// and from priors a few cells off.
+    /// the pure localizer's default window, from the true pose, from
+    /// priors a few cells off, and from a prior whose window crosses the
+    /// grid edge, with linear steps on and off the resolution.
     #[test]
     fn separable_search_matches_the_reference_on_the_room() {
         let g = room_grid();
         let pts = scan_points(Pose2::new(0.15, -0.1, 0.05));
-        let mut m = CorrelativeScanMatcher::new(0.05, 0.015);
-        for initial in [
-            Pose2::IDENTITY,
-            Pose2::new(0.15, -0.1, 0.05),
-            Pose2::new(-0.3, 0.2, -0.1),
-        ] {
-            let window = SearchWindow {
-                linear: 0.22,
-                angular: 0.09,
-            };
-            let want = match_scan_reference(&m, &g, &pts, initial, window);
-            assert_bitwise_eq(m.match_scan(&g, &pts, initial, window), want);
+        let window = SearchWindow {
+            linear: 0.22,
+            angular: 0.09,
+        };
+        for linear_step in [0.03, 0.05, 0.07] {
+            let mut m = CorrelativeScanMatcher::new(linear_step, 0.015);
+            for initial in [
+                Pose2::IDENTITY,
+                Pose2::new(0.15, -0.1, 0.05),
+                Pose2::new(-0.3, 0.2, -0.1),
+                // The walls sit 2 m from the centre and the grid edge 3 m:
+                // from 0.9 m off, the walls on that side land within a
+                // window of the edge.
+                Pose2::new(0.9, -0.95, 0.02),
+            ] {
+                let want = match_scan_reference(&m, &g, &pts, initial, window);
+                assert_bitwise_eq(m.match_scan(&g, &pts, initial, window), want);
+            }
         }
+    }
+
+    /// A negative extent searches as zero: a fully negative window scores
+    /// the prior alone, and a negative linear extent still turns through
+    /// the angular window at the prior's position.
+    #[test]
+    fn negative_window_searches_as_zero() {
+        let g = room_grid();
+        let pts = scan_points(Pose2::new(0.0, 0.0, 0.06));
+        let mut m = CorrelativeScanMatcher::new(0.05, 0.015);
+        let prior = Pose2::new(0.12, -0.07, 0.0);
+        let r = m.match_scan(
+            &g,
+            &pts,
+            prior,
+            SearchWindow {
+                linear: -0.3,
+                angular: -0.2,
+            },
+        );
+        let want = MatchResult {
+            pose: prior,
+            score: CorrelativeScanMatcher::score(&g, &pts, prior),
+        };
+        assert_bitwise_eq(r, want);
+        let turn_only = |linear| SearchWindow {
+            linear,
+            angular: 0.09,
+        };
+        let got = m.match_scan(&g, &pts, prior, turn_only(-0.06));
+        let want = match_scan_reference(&m, &g, &pts, prior, turn_only(0.0));
+        assert_bitwise_eq(got, want);
+        assert_ne!(got.pose.theta, prior.theta, "the turn was searched");
     }
 
     /// Builds a probability grid of a square room by inserting noiseless
