@@ -6,15 +6,21 @@
 //!   kidnap} × 2 tracks × 20 seed replicates → `BENCH_fleet.json`;
 //! - `faults` (EXPERIMENTS.md A5): the ten-scenario fault catalog on the
 //!   test track at HQ grip, 3 localizers × 20 replicates of 24 s →
-//!   `BENCH_faults.json`.
+//!   `BENCH_faults.json`;
+//! - `deadline` (EXPERIMENTS.md A8): SynPF on the test track at HQ grip
+//!   under four compute budgets (uncapped + three caps) × {nominal,
+//!   budget halving, compute cliff} × 20 replicates of 16 s →
+//!   `BENCH_deadline.json`, whose capped cells carry deadline-ladder
+//!   statistics.
 //!
 //! Each cell aggregates into success rates (Wilson 95% intervals),
-//! mean/p95 RMSE and lateral error, and recovery-latency distributions.
+//! mean/p95 RMSE and lateral error, recovery-latency distributions, and —
+//! for capped SynPF cells — ladder occupancy, misses and final rungs.
 //! The report is byte-identical for every `--threads` value, every
 //! `--cache-dir` state, and every interrupt/resume split (DESIGN.md §15).
 //!
 //! Run with `cargo run -p raceloc-bench --release --bin fleet --
-//! [--spec robustness|faults] [--quick] [--threads N] [--out FILE]
+//! [--spec robustness|faults|deadline] [--quick] [--threads N] [--out FILE]
 //! [--cache-dir DIR] [--stats-out FILE] [--stop-after-cells K]`.
 //!
 //! An interrupted run (`--stop-after-cells`, or a killed process) resumes
@@ -26,18 +32,19 @@
 //!
 //! - `fleet check REPORT...` judges each written report against its own
 //!   embedded spec: the paper's qualitative localizer ordering and
-//!   per-cell sanity (`raceloc_eval::ordering_violations`), plus SynPF's
+//!   per-cell sanity (`raceloc_eval::ordering_violations`), SynPF's
 //!   recovery budgets over every replicate and finite poses everywhere
-//!   (`raceloc_eval::recovery_violations`);
+//!   (`raceloc_eval::recovery_violations`), and the deadline ladder's
+//!   contract on capped cells (`raceloc_eval::ladder_violations`);
 //! - `fleet diff BASELINE FRESH [--out FILE]` is the cross-PR accuracy
 //!   gate: it exits 1 on an ordering flip or a disjoint-Wilson-interval
 //!   success regression (see `raceloc_eval::diff_reports`).
 
 use raceloc_bench::env_threads;
-use raceloc_bench::fleet::{fault_spec, fleet_spec};
+use raceloc_bench::fleet::{deadline_spec, fault_spec, fleet_spec};
 use raceloc_eval::{
-    diff_reports, ordering_violations, recovery_violations, run_fleet_with, CellSummary,
-    FleetReport, FleetRunOptions, FleetSpec,
+    diff_reports, ladder_violations, ordering_violations, recovery_violations, run_fleet_with,
+    CellSummary, FleetReport, FleetRunOptions, FleetSpec,
 };
 use raceloc_obs::Json;
 
@@ -46,6 +53,7 @@ use raceloc_obs::Json;
 enum SpecChoice {
     Robustness,
     Faults,
+    Deadline,
 }
 
 impl SpecChoice {
@@ -53,6 +61,7 @@ impl SpecChoice {
         match name {
             "robustness" => Some(Self::Robustness),
             "faults" => Some(Self::Faults),
+            "deadline" => Some(Self::Deadline),
             _ => None,
         }
     }
@@ -61,6 +70,7 @@ impl SpecChoice {
         match self {
             Self::Robustness => fleet_spec(quick),
             Self::Faults => fault_spec(quick),
+            Self::Deadline => deadline_spec(quick),
         }
     }
 
@@ -69,6 +79,7 @@ impl SpecChoice {
         match self {
             Self::Robustness => ("fleet", "BENCH_fleet.json"),
             Self::Faults => ("faults", "BENCH_faults.json"),
+            Self::Deadline => ("deadline", "BENCH_deadline.json"),
         }
     }
 }
@@ -104,7 +115,7 @@ fn parse_args(argv: &[String]) -> Args {
         match arg.as_str() {
             "--spec" => {
                 args.spec = SpecChoice::parse(&value("--spec", &mut it)).unwrap_or_else(|| {
-                    eprintln!("--spec needs robustness or faults");
+                    eprintln!("--spec needs robustness, faults or deadline");
                     std::process::exit(2);
                 });
             }
@@ -160,10 +171,11 @@ fn check_args(args: &Args) -> Result<(), String> {
 
 fn format_cell(c: &CellSummary) -> String {
     format!(
-        "{:<11} {:<3} {:<14} {:<13} {:>5} {:>5.2} [{:.2},{:.2}] {:>9.1} {:>9.1} {:>8.1} {:>7}",
+        "{:<11} {:<3} {:<14} {:>7} {:<13} {:>5} {:>5.2} [{:.2},{:.2}] {:>9.1} {:>9.1} {:>8.1} {:>7}",
         c.map,
         c.grip,
         c.scenario,
+        c.budget,
         c.method,
         c.runs,
         c.success_rate,
@@ -237,6 +249,7 @@ fn check_file(path: &str) -> Result<Vec<String>, String> {
     let report = FleetReport::from_json(&doc).map_err(|e| format!("{path}: {e}"))?;
     let mut violations = ordering_violations(&report);
     violations.extend(recovery_violations(&spec, &report));
+    violations.extend(ladder_violations(&spec, &report));
     Ok(violations)
 }
 
@@ -317,10 +330,11 @@ fn main() {
     );
 
     println!(
-        "{:<11} {:<3} {:<14} {:<13} {:>5} {:>17} {:>9} {:>9} {:>8} {:>7}",
+        "{:<11} {:<3} {:<14} {:>7} {:<13} {:>5} {:>17} {:>9} {:>9} {:>8} {:>7}",
         "Map",
         "Odo",
         "Scenario",
+        "Budget",
         "Method",
         "Runs",
         "Success [95% CI]",
@@ -380,6 +394,13 @@ mod tests {
         assert_eq!(faults.spec, SpecChoice::Faults);
         assert_eq!(faults.spec.experiment(), ("faults", "BENCH_faults.json"));
         assert_eq!(faults.spec.build(faults.quick), fault_spec(true));
-        assert_eq!(SpecChoice::parse("deadline"), None);
+        let deadline = parse(&["--spec", "deadline"]);
+        assert_eq!(deadline.spec, SpecChoice::Deadline);
+        assert_eq!(
+            deadline.spec.experiment(),
+            ("deadline", "BENCH_deadline.json")
+        );
+        assert_eq!(deadline.spec.build(deadline.quick), deadline_spec(false));
+        assert_eq!(SpecChoice::parse("ladder"), None);
     }
 }

@@ -1,6 +1,7 @@
 //! **Serve load test** — drives a large mixed-localizer session fleet
 //! through the `raceloc-serve` multi-session engine and reports sustained
-//! throughput and per-step latency across worker-thread counts, plus a hard
+//! throughput and fleet-step drain latency across worker-thread counts
+//! (per-request latency is perfbench's `serve_mixed`), plus a hard
 //! determinism gate: the FNV digest over every `(session, seq, pose,
 //! health)` step result must be **byte-identical** for every thread count.
 //! Any divergence fails the run with exit code 1 — this is the check CI's
@@ -215,7 +216,6 @@ struct RunOutcome {
     steps_per_sec: f64,
     drain_ms_p50: f64,
     drain_ms_p99: f64,
-    step_us_p99: f64,
 }
 
 fn quantile(sorted: &[f64], q: f64) -> f64 {
@@ -278,7 +278,6 @@ fn run_fleet(
     let wall_seconds = run.elapsed_seconds();
     all.sort_by_key(|r| (r.session.0, r.seq));
     drain_ms.sort_by(|a, b| a.total_cmp(b));
-    let p99_drain = quantile(&drain_ms, 0.99);
     RunOutcome {
         digest: digest(&all),
         shed: engine.shed_total(),
@@ -289,8 +288,7 @@ fn run_fleet(
         wall_seconds,
         steps_per_sec: all.len() as f64 / wall_seconds.max(1e-9),
         drain_ms_p50: quantile(&drain_ms, 0.5),
-        drain_ms_p99: p99_drain,
-        step_us_p99: p99_drain / sessions.max(1) as f64 * 1e3,
+        drain_ms_p99: quantile(&drain_ms, 0.99),
     }
 }
 
@@ -335,13 +333,13 @@ fn main() {
         reference.builds, reference.hits, reference.luts_built
     );
     println!(
-        "  {:<8} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        "threads", "steps/sec", "drain p50", "drain p99", "step p99", "wall"
+        "  {:<8} {:>12} {:>12} {:>12} {:>12}",
+        "threads", "steps/sec", "drain p50", "drain p99", "wall"
     );
     for (t, o) in &outcomes {
         println!(
-            "  {:<8} {:>12.0} {:>10.3}ms {:>10.3}ms {:>10.1}us {:>10.2}s",
-            t, o.steps_per_sec, o.drain_ms_p50, o.drain_ms_p99, o.step_us_p99, o.wall_seconds
+            "  {:<8} {:>12.0} {:>10.3}ms {:>10.3}ms {:>10.2}s",
+            t, o.steps_per_sec, o.drain_ms_p50, o.drain_ms_p99, o.wall_seconds
         );
     }
 
@@ -397,7 +395,6 @@ fn main() {
                             ("steps_per_sec".into(), Json::num(o.steps_per_sec)),
                             ("drain_ms_p50".into(), Json::num(o.drain_ms_p50)),
                             ("drain_ms_p99".into(), Json::num(o.drain_ms_p99)),
-                            ("step_us_p99".into(), Json::num(o.step_us_p99)),
                         ])
                     })
                     .collect(),

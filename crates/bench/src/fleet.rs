@@ -9,13 +9,18 @@
 //! - [`fault_spec`] — the fault fleet behind `BENCH_faults.json`: the
 //!   whole [`fault_catalog`] on the test track at HQ grip, all three
 //!   localizers, 20 replicates — 600 runs of 24 s.
+//! - [`deadline_spec`] — the deadline fleet behind `BENCH_deadline.json`
+//!   (EXPERIMENTS.md A8): SynPF on the test track at HQ grip, four
+//!   compute budgets × the three [`pressure_scenarios`], 20 replicates —
+//!   240 runs of 16 s.
 //!
-//! The quick mode of either spec keeps the whole matrix and drops only
-//! the replicate count, so CI exercises every cell on a compressed budget.
+//! The quick mode of every spec keeps the whole matrix and drops only the
+//! replicate count, so CI exercises every cell on a compressed budget.
 
+use raceloc_core::deadline::{CostModel, RangeTier};
 use raceloc_eval::{EvalMethod, FleetSpec, GripSpec, MapSpec};
 
-use crate::faults::fault_catalog;
+use crate::faults::{fault_catalog, pressure_scenarios};
 use crate::{MU_HIGH_QUALITY, MU_LOW_QUALITY};
 
 /// Replicates per cell in full mode (the checked-in artifacts).
@@ -86,7 +91,7 @@ pub fn fleet_spec(quick: bool) -> FleetSpec {
         ],
         scenarios,
         // The robustness fleet stays on the uncapped budget; the budget ×
-        // scenario sweep lives in the dedicated `deadline` bench.
+        // pressure sweep is [`deadline_spec`].
         budgets: vec![0],
         methods: EvalMethod::all().to_vec(),
     }
@@ -109,6 +114,40 @@ pub fn fault_spec(quick: bool) -> FleetSpec {
         scenarios: fault_catalog(960),
         budgets: vec![0],
         methods: EvalMethod::all().to_vec(),
+    }
+}
+
+/// The cost of one full-quality SynPF correction with `particles`
+/// particles over the default boxed layout's 60-beam cap — the anchor of
+/// the deadline fleet's budgets. Perimeter deduplication leaves the
+/// selected fan at roughly two thirds of the cap, so one anchored full
+/// step costs ~1.5× a real top-rung correction.
+pub fn full_step_units(particles: usize) -> u64 {
+    CostModel::default().step_units(particles as u64, 60, RangeTier::Exact)
+}
+
+/// Builds the deadline fleet: SynPF under an uncapped reference and three
+/// per-step budgets — one anchored full step (headroom), 0.6× (forces
+/// the ladder off the top rung) and 0.35× (deep in the degraded tiers) —
+/// against each [`pressure_scenarios`] entry. `quick` only changes the
+/// replicate count.
+pub fn deadline_spec(quick: bool) -> FleetSpec {
+    let particles = 1200;
+    let full = full_step_units(particles);
+    // 16 s at 40 Hz = 640 corrections.
+    FleetSpec {
+        name: "deadline-fleet".into(),
+        master_seed: 2024,
+        replicates: replicates(quick),
+        duration_s: 16.0,
+        particles,
+        beams: 271,
+        success_lat_cm: 30.0,
+        maps: vec![fourier_33()],
+        grips: vec![high_grip()],
+        scenarios: pressure_scenarios(640),
+        budgets: vec![0, full, full * 3 / 5, full * 7 / 20],
+        methods: vec![EvalMethod::SynPf],
     }
 }
 
@@ -160,7 +199,12 @@ mod tests {
 
     #[test]
     fn specs_round_trip_through_json() {
-        for spec in [fleet_spec(false), fault_spec(false), fault_spec(true)] {
+        for spec in [
+            fleet_spec(false),
+            fault_spec(false),
+            fault_spec(true),
+            deadline_spec(false),
+        ] {
             spec.validate().expect("checked-in spec is valid");
             let text = format!("{}", spec.to_json());
             let back = FleetSpec::from_json_str(&text).expect("parse back");
@@ -186,6 +230,38 @@ mod tests {
                 "{gated} must carry a recovery budget"
             );
         }
+    }
+
+    #[test]
+    fn deadline_spec_sweeps_budget_by_pressure() {
+        let spec = deadline_spec(false);
+        spec.validate().expect("deadline spec is valid");
+        assert_eq!(spec.replicates, FULL_REPLICATES);
+        assert_eq!(spec.corrections(), 640);
+        assert_eq!(spec.methods, vec![EvalMethod::SynPf]);
+        // Uncapped leads; the caps descend from one anchored full step.
+        assert_eq!(spec.budgets, vec![0, 290_912, 174_547, 101_819]);
+        let names: Vec<&str> = spec.scenarios.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["nominal", "pressure_half", "pressure_cliff"]);
+        assert!(
+            spec.scenarios[0].schedule.is_empty(),
+            "nominal is fault-free"
+        );
+        for s in &spec.scenarios[1..] {
+            let [f] = s.schedule.faults() else {
+                panic!("{}: one pressure window", s.name);
+            };
+            assert_eq!((f.window.start, f.window.end), (160, 288), "{}", s.name);
+            assert_eq!(s.measure_from, 288, "{}", s.name);
+            assert_eq!(s.recovery_budget, None, "{}", s.name);
+        }
+        assert_eq!(spec.total_runs(), 4 * 3 * 20);
+        let quick = deadline_spec(true);
+        assert_eq!(quick.replicates, QUICK_REPLICATES);
+        assert_eq!(
+            (quick.scenarios, quick.budgets),
+            (spec.scenarios, spec.budgets)
+        );
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! Racing"* (DATE 2024); see `DESIGN.md` §4 for the experiment index and
 //! `EXPERIMENTS.md` for recorded results.
 
-pub mod deadline;
 pub mod faults;
 pub mod fleet;
 

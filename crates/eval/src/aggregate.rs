@@ -15,6 +15,7 @@
 //! is byte-identical to a from-scratch run — rule R3
 //! extended to provenance (`tests/resume_equivalence.rs`).
 
+use raceloc_core::deadline::LADDER_LEN;
 use raceloc_metrics::wilson95;
 use raceloc_obs::{CounterRollup, Histogram, Json};
 
@@ -60,6 +61,10 @@ pub struct CellAggregator {
     nonfinite: u64,
     unrecovered: u64,
     missing: u64,
+    ladder: LadderStats,
+    /// Whether any folded run booked `deadline.final_rung`, i.e. ran a
+    /// deadline controller.
+    controlled: bool,
 }
 
 impl Default for CellAggregator {
@@ -89,6 +94,8 @@ impl CellAggregator {
             nonfinite: 0,
             unrecovered: 0,
             missing: 0,
+            ladder: LadderStats::default(),
+            controlled: false,
         }
     }
 
@@ -121,6 +128,31 @@ impl CellAggregator {
                 self.rec_max = self.rec_max.max(steps);
             }
             None => self.unrecovered += 1,
+        }
+        // The deadline counters of a capped SynPF run (DESIGN.md §14):
+        // the filter books misses, coasts and rung occupancy, the runner
+        // books `deadline.final_rung`. A run without a controller books
+        // none of them.
+        for &(name, v) in &out.counters {
+            let ladder = &mut self.ladder;
+            match name {
+                "deadline.miss" => ladder.misses += v,
+                "deadline.coast_steps" => ladder.coast_steps += v,
+                "deadline.final_rung" => {
+                    self.controlled = true;
+                    if let Some(slot) = ladder.final_rungs.get_mut(v as usize) {
+                        *slot += 1;
+                    }
+                }
+                _ => {
+                    let rung = name
+                        .strip_prefix("deadline.rung")
+                        .and_then(|r| r.parse().ok());
+                    if let Some(slot) = rung.and_then(|r: usize| ladder.rung_occupancy.get_mut(r)) {
+                        *slot += v;
+                    }
+                }
+            }
         }
     }
 
@@ -178,7 +210,55 @@ impl CellAggregator {
             crashes: self.crashes,
             nonfinite: self.nonfinite,
             missing: self.missing,
+            ladder: self.controlled.then(|| self.ladder.clone()),
         }
+    }
+}
+
+/// The deadline-ladder statistics of one cell whose runs carried a
+/// deadline controller (a capped SynPF cell), summed over its replicates.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LadderStats {
+    /// Deadline misses booked by the controller.
+    pub misses: u64,
+    /// Corrections shed entirely (bottom-rung coasts).
+    pub coast_steps: u64,
+    /// Corrections planned at each ladder rung.
+    pub rung_occupancy: [u64; LADDER_LEN],
+    /// Replicates whose run ended on each rung.
+    pub final_rungs: [u64; LADDER_LEN],
+}
+
+impl LadderStats {
+    fn to_json(&self) -> Json {
+        let counts = |v: &[u64]| Json::Arr(v.iter().map(|&c| Json::num(c as f64)).collect());
+        Json::Obj(vec![
+            ("misses".into(), Json::num(self.misses as f64)),
+            ("coast_steps".into(), Json::num(self.coast_steps as f64)),
+            ("rung_occupancy".into(), counts(&self.rung_occupancy)),
+            ("final_rungs".into(), counts(&self.final_rungs)),
+        ])
+    }
+
+    fn from_json(doc: &Json) -> Result<Self, ReportError> {
+        let counts = |key: &str| -> Result<[u64; LADDER_LEN], ReportError> {
+            let err = || ReportError::new(format!("ladder {key:?} must list {LADDER_LEN} counts"));
+            let arr = doc.get(key).and_then(Json::as_array).ok_or_else(err)?;
+            if arr.len() != LADDER_LEN {
+                return Err(err());
+            }
+            let mut out = [0; LADDER_LEN];
+            for (slot, v) in out.iter_mut().zip(arr) {
+                *slot = v.as_u64().ok_or_else(err)?;
+            }
+            Ok(out)
+        };
+        Ok(Self {
+            misses: row_u64(doc, "misses")?,
+            coast_steps: row_u64(doc, "coast_steps")?,
+            rung_occupancy: counts("rung_occupancy")?,
+            final_rungs: counts("final_rungs")?,
+        })
     }
 }
 
@@ -258,12 +338,15 @@ pub struct CellSummary {
     pub nonfinite: u64,
     /// Replicates whose outcome never arrived from the pool.
     pub missing: u64,
+    /// Deadline-ladder statistics; `None` when no run of the cell had a
+    /// deadline controller (every uncapped cell, every non-SynPF cell).
+    pub ladder: Option<LadderStats>,
 }
 
 impl CellSummary {
     /// Serializes the row (stable key order).
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
+        let mut row = vec![
             ("map".into(), Json::Str(self.map.clone())),
             ("grip".into(), Json::Str(self.grip.clone())),
             ("scenario".into(), Json::Str(self.scenario.clone())),
@@ -293,7 +376,13 @@ impl CellSummary {
             ("crashes".into(), Json::num(self.crashes as f64)),
             ("nonfinite".into(), Json::num(self.nonfinite as f64)),
             ("missing".into(), Json::num(self.missing as f64)),
-        ])
+        ];
+        // Absent, not null, when uncapped: reports without a budget sweep
+        // keep their bytes.
+        if let Some(ladder) = &self.ladder {
+            row.push(("ladder".into(), ladder.to_json()));
+        }
+        Json::Obj(row)
     }
 
     /// Parses a row serialized by [`CellSummary::to_json`]. Float fields
@@ -324,6 +413,7 @@ impl CellSummary {
             crashes: row_u64(doc, "crashes")?,
             nonfinite: row_u64(doc, "nonfinite")?,
             missing: row_u64(doc, "missing")?,
+            ladder: doc.get("ladder").map(LadderStats::from_json).transpose()?,
         })
     }
 }
@@ -718,6 +808,56 @@ mod tests {
         assert_eq!(format!("{}", back.to_json()), text);
         assert!(FleetReport::from_json_str("{}").is_err());
         assert!(FleetReport::from_json_str("no").is_err());
+    }
+
+    /// A capped SynPF replicate's outcome: the deadline counters the
+    /// controller books, ending on rung `final_rung`.
+    fn capped(index: usize, final_rung: u64) -> RunOutcome {
+        let mut out = outcome(index, 10.0, true);
+        out.counters = vec![
+            ("deadline.coast_steps", 2),
+            ("deadline.final_rung", final_rung),
+            ("deadline.miss", 1),
+            ("deadline.rung", 70),
+            ("deadline.rung0", 60),
+            ("deadline.rung1", 30),
+            ("deadline.rung4", 10),
+            ("sim.scans", 100),
+        ];
+        out
+    }
+
+    #[test]
+    fn ladder_folds_the_deadline_counters_and_round_trips() {
+        let mut agg = CellAggregator::new();
+        agg.push(&capped(0, 0));
+        agg.push(&capped(1, 1));
+        agg.push(&capped(2, 0));
+        let row = agg.summarize("m", "HQ", "pressure_half", 90_000, "SynPF");
+        let ladder = row.ladder.clone().expect("a controlled cell has a ladder");
+        assert_eq!(ladder.misses, 3);
+        assert_eq!(ladder.coast_steps, 6);
+        assert_eq!(ladder.rung_occupancy, [180, 90, 0, 0, 30, 0]);
+        assert_eq!(ladder.final_rungs, [2, 1, 0, 0, 0, 0]);
+        let text = format!("{}", row.to_json());
+        let back =
+            CellSummary::from_json(&Json::parse(&text).expect("valid JSON")).expect("parse back");
+        assert_eq!(back, row);
+        let short = text.replace("\"final_rungs\":[2,1,0,0,0,0]", "\"final_rungs\":[2,1]");
+        assert!(CellSummary::from_json(&Json::parse(&short).expect("valid JSON")).is_err());
+    }
+
+    #[test]
+    fn uncontrolled_cells_carry_no_ladder() {
+        let mut agg = CellAggregator::new();
+        agg.push(&outcome(0, 10.0, true));
+        let row = agg.summarize("m", "HQ", "nominal", 0, "SynPF");
+        assert_eq!(row.ladder, None);
+        let text = format!("{}", row.to_json());
+        assert!(!text.contains("ladder"), "{text}");
+        let back =
+            CellSummary::from_json(&Json::parse(&text).expect("valid JSON")).expect("parse back");
+        assert_eq!(back, row);
     }
 
     #[test]

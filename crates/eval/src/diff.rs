@@ -279,6 +279,7 @@ mod tests {
             crashes: 0,
             nonfinite: 0,
             missing: 0,
+            ladder: None,
         }
     }
 

@@ -1,6 +1,7 @@
-//! Robustness gates: the paper's qualitative localizer ordering and the
-//! fault catalog's recovery budgets, encoded as hard checks over a
-//! [`FleetReport`] (`fleet check` runs both).
+//! Robustness gates: the paper's qualitative localizer ordering, the
+//! fault catalog's recovery budgets and the deadline ladder's contract,
+//! encoded as hard checks over a [`FleetReport`] (`fleet check` runs all
+//! three).
 //!
 //! The source paper's central robustness findings are *ordinal*, not
 //! numeric: the synthetic-likelihood particle filter (SynPF) degrades
@@ -19,6 +20,8 @@
 //! staying laterally exact, and that ambiguity is a property of the
 //! track's symmetry, not of the localizer under test.
 
+use raceloc_core::deadline::LADDER_LEN;
+
 use crate::aggregate::{CellSummary, FleetReport};
 use crate::spec::{EvalMethod, FleetSpec};
 
@@ -27,6 +30,24 @@ use crate::spec::{EvalMethod, FleetSpec};
 pub const SLIP_SCENARIO: &str = "odom_slip";
 /// Scenario label of the fault-free control the baseline gate keys on.
 pub const NOMINAL_SCENARIO: &str = "nominal";
+/// Scenario label of the mid-run budget halving the ladder-descent gate
+/// keys on.
+pub const HALF_SCENARIO: &str = "pressure_half";
+/// Scenario label of the near-total compute cliff — the only scenario
+/// in which a capped cell may book deadline misses.
+pub const CLIFF_SCENARIO: &str = "pressure_cliff";
+
+/// On the nominal scenario, a budget of at least half the largest keeps
+/// its mean lateral error within this factor of the uncapped cell's.
+const GRACEFUL_FACTOR: f64 = 2.0;
+/// Adjacent-budget slack of the nominal monotonicity gate: between
+/// neighbouring budgets the accuracy gap can sit inside replicate noise,
+/// so a strict `<=` would flake.
+const MONOTONE_SLACK: f64 = 1.15;
+/// Ceiling on a pressured capped cell's mean lateral error relative to
+/// its nominal same-budget cell: pressure windows legitimately cost
+/// accuracy (forced descents, coasting), divergence does not.
+const PRESSURE_FACTOR: f64 = 15.0;
 
 /// Checks one report against the paper's qualitative ordering and basic
 /// sanity. Returns one human-readable line per violation; an empty vector
@@ -105,6 +126,138 @@ pub fn recovery_violations(spec: &FleetSpec, report: &FleetReport) -> Vec<String
     out
 }
 
+/// Checks every capped cell against the deadline ladder's contract
+/// (DESIGN.md §14). Returns one human-readable line per violation.
+/// Cells are compared only with cells of the same map, grip and method.
+///
+/// 1. A capped cell never crashes, and a capped SynPF cell carries ladder
+///    statistics.
+/// 2. Outside [`CLIFF_SCENARIO`] the ladder always finds a rung that fits
+///    the budget: no deadline misses.
+/// 3. Under [`HALF_SCENARIO`], the spec's largest budget leaves rung 0.
+/// 4. Pressure lifts ⇒ the controller climbs back: every rung a pressured
+///    cell's replicates end on is one its nominal same-budget cell's
+///    replicates also end on.
+/// 5. On the nominal scenario, a budget of at least half the largest
+///    keeps mean lateral error within 2× the uncapped cell's.
+/// 6. On the nominal scenario, mean lateral error does not grow with the
+///    budget (uncapped counts as the largest), within a 1.15× slack.
+/// 7. A pressured capped cell's mean lateral error stays within 15× its
+///    nominal same-budget cell's.
+pub fn ladder_violations(spec: &FleetSpec, report: &FleetReport) -> Vec<String> {
+    let mut out = Vec::new();
+    let largest = spec.budgets.iter().copied().max().unwrap_or(0);
+    let peer = |c: &CellSummary, scenario: &str, budget: u64| {
+        report.cells.iter().find(|o| {
+            o.map == c.map
+                && o.grip == c.grip
+                && o.method == c.method
+                && o.scenario == scenario
+                && o.budget == budget
+        })
+    };
+    for cell in report.cells.iter().filter(|c| c.budget > 0) {
+        let tag = tag(cell);
+        if cell.crashes > 0 {
+            out.push(format!(
+                "{tag}: {} of {} replicates crashed",
+                cell.crashes, cell.runs
+            ));
+        }
+        let Some(ladder) = &cell.ladder else {
+            if cell.method == EvalMethod::SynPf.name() {
+                out.push(format!("{tag}: capped cell carries no ladder statistics"));
+            }
+            continue;
+        };
+        if ladder.misses > 0 && cell.scenario != CLIFF_SCENARIO {
+            out.push(format!(
+                "{tag}: {} deadline miss(es) — the ladder must always fit the budget \
+                 outside {CLIFF_SCENARIO}",
+                ladder.misses
+            ));
+        }
+        if cell.scenario == HALF_SCENARIO
+            && cell.budget == largest
+            && ladder.rung_occupancy[1..].iter().all(|&n| n == 0)
+        {
+            out.push(format!(
+                "{tag}: never left rung 0 — halving the largest budget must force the \
+                 ladder down"
+            ));
+        }
+        if cell.scenario == NOMINAL_SCENARIO {
+            if let Some(uncapped) = peer(cell, NOMINAL_SCENARIO, 0) {
+                if 2 * cell.budget >= largest
+                    && cell.mean_lat_err_cm > GRACEFUL_FACTOR * uncapped.mean_lat_err_cm
+                {
+                    out.push(format!(
+                        "{tag}: mean lateral error {:.1} cm exceeds {GRACEFUL_FACTOR}× the \
+                         uncapped {:.1} cm — degradation is not graceful",
+                        cell.mean_lat_err_cm, uncapped.mean_lat_err_cm
+                    ));
+                }
+            }
+            continue;
+        }
+        let Some(nominal) = peer(cell, NOMINAL_SCENARIO, cell.budget) else {
+            continue;
+        };
+        if let Some(nominal_ladder) = &nominal.ladder {
+            for rung in 0..LADDER_LEN {
+                if ladder.final_rungs[rung] > 0 && nominal_ladder.final_rungs[rung] == 0 {
+                    out.push(format!(
+                        "{tag}: {} replicate(s) ended on rung {rung}, where no nominal \
+                         replicate ends — the controller must recover after pressure lifts",
+                        ladder.final_rungs[rung]
+                    ));
+                }
+            }
+        }
+        if cell.mean_lat_err_cm > PRESSURE_FACTOR * nominal.mean_lat_err_cm {
+            out.push(format!(
+                "{tag}: mean lateral error {:.1} cm exceeds {PRESSURE_FACTOR}× the nominal \
+                 {:.1} cm — degradation under pressure is not graceful",
+                cell.mean_lat_err_cm, nominal.mean_lat_err_cm
+            ));
+        }
+    }
+    nominal_monotone(report, &mut out);
+    out
+}
+
+/// Gate 6 of [`ladder_violations`]: per `(map, grip, method)`, nominal
+/// mean lateral error is non-increasing in the budget, uncapped last.
+fn nominal_monotone(report: &FleetReport, out: &mut Vec<String>) {
+    let mut groups: Vec<(&str, &str, &str)> = Vec::new();
+    for c in &report.cells {
+        let g = (c.map.as_str(), c.grip.as_str(), c.method.as_str());
+        if !groups.contains(&g) {
+            groups.push(g);
+        }
+    }
+    for (map, grip, method) in groups {
+        let mut cells: Vec<&CellSummary> = report
+            .group(map, grip, NOMINAL_SCENARIO)
+            .filter(|c| c.method == method)
+            .collect();
+        cells.sort_by_key(|c| if c.budget == 0 { u64::MAX } else { c.budget });
+        for pair in cells.windows(2) {
+            let (less, more) = (pair[0], pair[1]);
+            if more.mean_lat_err_cm > MONOTONE_SLACK * less.mean_lat_err_cm {
+                out.push(format!(
+                    "{}: mean lateral error {:.1} cm exceeds {MONOTONE_SLACK}× the {:.1} cm of \
+                     budget {} — more budget made accuracy worse",
+                    tag(more),
+                    more.mean_lat_err_cm,
+                    less.mean_lat_err_cm,
+                    less.budget
+                ));
+            }
+        }
+    }
+}
+
 fn tag(cell: &CellSummary) -> String {
     format!(
         "{} × {} × {} × b{} × {}",
@@ -173,6 +326,7 @@ fn nominal_baseline(report: &FleetReport, map: &str, grip: &str, out: &mut Vec<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::LadderStats;
     use raceloc_obs::CounterRollup;
 
     fn cell(scenario: &str, method: &str, rmse: f64, rate: f64) -> CellSummary {
@@ -200,6 +354,7 @@ mod tests {
             crashes: 0,
             nonfinite: 0,
             missing: 0,
+            ladder: None,
         }
     }
 
@@ -314,5 +469,136 @@ mod tests {
         // compare — no spurious violations.
         let r = report(vec![cell(SLIP_SCENARIO, "SynPF", 40.0, 0.9)]);
         assert!(ordering_violations(&r).is_empty());
+    }
+
+    const SLACK: u64 = 200_000;
+    const TIGHT: u64 = 120_000;
+    const STARVED: u64 = 70_000;
+
+    /// A capped SynPF cell with mean lateral error `lat` that sat on rung
+    /// 0 throughout and ended there in all 20 replicates.
+    fn capped(scenario: &str, budget: u64, lat: f64) -> CellSummary {
+        let mut c = cell(scenario, "SynPF", 2.0 * lat, 1.0);
+        c.budget = budget;
+        c.ladder = Some(LadderStats {
+            misses: 0,
+            coast_steps: 0,
+            rung_occupancy: [12_800, 0, 0, 0, 0, 0],
+            final_rungs: [20, 0, 0, 0, 0, 0],
+        });
+        c
+    }
+
+    fn ladder(c: &mut CellSummary) -> &mut LadderStats {
+        c.ladder.as_mut().expect("capped cell")
+    }
+
+    /// A well-behaved budget × pressure sweep: flat nominal accuracy, a
+    /// halving that pushes the largest budget down a rung, legal misses
+    /// under the cliff.
+    fn sweep() -> Vec<CellSummary> {
+        let mut half = capped(HALF_SCENARIO, SLACK, 20.0);
+        ladder(&mut half).rung_occupancy = [12_000, 800, 0, 0, 0, 0];
+        let mut cliff = capped(CLIFF_SCENARIO, STARVED, 50.0);
+        ladder(&mut cliff).misses = 120;
+        ladder(&mut cliff).coast_steps = 8;
+        vec![
+            cell(NOMINAL_SCENARIO, "SynPF", 16.0, 1.0),
+            capped(NOMINAL_SCENARIO, SLACK, 8.0),
+            capped(NOMINAL_SCENARIO, TIGHT, 8.5),
+            capped(NOMINAL_SCENARIO, STARVED, 9.0),
+            half,
+            cliff,
+        ]
+    }
+
+    /// Runs the ladder gates over `sweep()` with `edit` applied to the
+    /// cell at `index`.
+    fn ladder_check(index: usize, edit: impl FnOnce(&mut CellSummary)) -> Vec<String> {
+        let mut spec = crate::spec::tests::tiny_spec();
+        spec.budgets = vec![0, SLACK, TIGHT, STARVED];
+        let mut cells = sweep();
+        edit(&mut cells[index]);
+        ladder_violations(&spec, &report(cells))
+    }
+
+    #[test]
+    fn well_behaved_sweep_passes_the_ladder_gates() {
+        assert_eq!(ladder_check(0, |_| {}), Vec::<String>::new());
+        // Reports without a budget sweep have nothing to judge.
+        let spec = crate::spec::tests::tiny_spec();
+        let r = report(vec![
+            cell(NOMINAL_SCENARIO, "SynPF", 5.0, 1.0),
+            cell(CLIFF_SCENARIO, "SynPF", 900.0, 0.0),
+        ]);
+        assert!(ladder_violations(&spec, &r).is_empty());
+    }
+
+    #[test]
+    fn ladder_gate_catches_a_crashed_capped_cell() {
+        let v = ladder_check(2, |c| c.crashes = 1);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("1 of 20 replicates crashed"), "{v:?}");
+        let v = ladder_check(2, |c| c.ladder = None);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("no ladder statistics"), "{v:?}");
+    }
+
+    #[test]
+    fn ladder_gate_catches_misses_outside_the_cliff() {
+        let v = ladder_check(4, |c| ladder(c).misses = 3);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("3 deadline miss(es)"), "{v:?}");
+        // The cliff cell of `sweep()` already books misses legally.
+        assert!(ladder_check(5, |c| ladder(c).misses = 3).is_empty());
+    }
+
+    #[test]
+    fn ladder_gate_catches_a_halving_that_never_degrades() {
+        let v = ladder_check(4, |c| ladder(c).rung_occupancy = [12_800, 0, 0, 0, 0, 0]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("never left rung 0"), "{v:?}");
+    }
+
+    #[test]
+    fn ladder_gate_catches_a_ladder_stuck_after_pressure() {
+        let v = ladder_check(4, |c| ladder(c).final_rungs = [19, 1, 0, 0, 0, 0]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("1 replicate(s) ended on rung 1"), "{v:?}");
+        assert!(v[0].contains("recover"), "{v:?}");
+    }
+
+    #[test]
+    fn ladder_gate_catches_capped_nominal_accuracy_collapsing() {
+        // 17 cm > 2 × the uncapped 8 cm (and, 2× the tight 8.5 cm, no
+        // longer monotone either).
+        let v = ladder_check(1, |c| c.mean_lat_err_cm = 17.0);
+        assert!(v.iter().any(|m| m.contains("uncapped 8.0 cm")), "{v:?}");
+        // The starved budget (< half the largest) is exempt from the 2×
+        // bound: only monotonicity judges it.
+        let v = ladder_check(3, |c| c.mean_lat_err_cm = 9.7);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn ladder_gate_catches_accuracy_worsening_with_budget() {
+        // Tight at 12 cm stays within 2× uncapped but is worse than
+        // 1.15× the starved 9 cm.
+        let v = ladder_check(2, |c| c.mean_lat_err_cm = 12.0);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("more budget made accuracy worse"), "{v:?}");
+        // Uncapped counts as the largest budget.
+        let v = ladder_check(0, |c| c.mean_lat_err_cm = 9.3);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("b0"), "{v:?}");
+    }
+
+    #[test]
+    fn ladder_gate_catches_divergence_under_pressure() {
+        // 15 × the starved nominal 9 cm = 135 cm.
+        assert!(ladder_check(5, |c| c.mean_lat_err_cm = 135.0).is_empty());
+        let v = ladder_check(5, |c| c.mean_lat_err_cm = 136.0);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("under pressure"), "{v:?}");
     }
 }

@@ -21,8 +21,9 @@
 //! - [`ordering_violations`] encodes the paper's qualitative findings
 //!   (SynPF degrades gracefully under odometry slip where Cartographer
 //!   diverges; dead reckoning is the nominal-scenario worst case) as CI
-//!   gates, and [`recovery_violations`] holds SynPF to each scenario's
-//!   recovery budget over every replicate.
+//!   gates, [`recovery_violations`] holds SynPF to each scenario's
+//!   recovery budget over every replicate, and [`ladder_violations`]
+//!   holds capped cells to the deadline ladder's contract.
 //!
 //! Every world seed is a pure function of `(master_seed, map, grip,
 //! scenario, replicate)` — the localizer is deliberately excluded so all
@@ -73,11 +74,15 @@ pub mod runner;
 pub mod spec;
 
 pub use aggregate::{
-    CellAggregator, CellSummary, FleetReport, ReportBuilder, ReportError, ERROR_BOUNDS_CM,
+    CellAggregator, CellSummary, FleetReport, LadderStats, ReportBuilder, ReportError,
+    ERROR_BOUNDS_CM,
 };
 pub use cache::{cell_hash, code_fingerprint, CellCache, Fnv64, RESULT_REVISION};
 pub use diff::{diff_reports, ReportDiff};
-pub use gates::{ordering_violations, recovery_violations, NOMINAL_SCENARIO, SLIP_SCENARIO};
+pub use gates::{
+    ladder_violations, ordering_violations, recovery_violations, CLIFF_SCENARIO, HALF_SCENARIO,
+    NOMINAL_SCENARIO, SLIP_SCENARIO,
+};
 pub use runner::{
     execute_run, run_fleet, run_fleet_with, FleetCtx, FleetError, FleetRunOptions, FleetRunStats,
     MapResources, RunOutcome,

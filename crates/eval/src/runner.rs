@@ -742,4 +742,28 @@ mod tests {
             "report must not depend on pool width"
         );
     }
+
+    #[test]
+    fn only_capped_synpf_cells_carry_a_ladder() {
+        let mut spec = micro_spec();
+        spec.methods = vec![EvalMethod::SynPf, EvalMethod::DeadReckoning];
+        spec.budgets = vec![0, 10_000];
+        let report = run_fleet(&spec, 1).expect("valid spec");
+        assert_eq!(report.cells.len(), 4);
+        for cell in &report.cells {
+            let controlled = cell.budget > 0 && cell.method == "SynPF";
+            assert_eq!(
+                cell.ladder.is_some(),
+                controlled,
+                "b{} {}",
+                cell.budget,
+                cell.method
+            );
+            if let Some(ladder) = &cell.ladder {
+                // One planned rung per correction, one final rung per run.
+                assert_eq!(ladder.rung_occupancy.iter().sum::<u64>(), cell.steps);
+                assert_eq!(ladder.final_rungs.iter().sum::<u64>(), cell.runs);
+            }
+        }
+    }
 }

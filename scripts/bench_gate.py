@@ -15,25 +15,6 @@ The median is robust to those spikes while still catching real
 regressions (losing the compressed-LUT fan fast path alone is a >2x
 median hit at 4000 particles).
 
-Deadline mode (`--deadline FILE`) checks a BENCH_deadline.json sweep for
-the accuracy shape the scheduler promises:
-
-- uncapped rows never book a deadline miss and are identical across
-  pressure scenarios (ComputePressure only scales the budget, so without
-  a controller it must be a perfect no-op),
-- on the nominal scenario, mean lateral error is monotone non-increasing
-  as the budget grows (uncapped counts as the largest budget), with a
-  1.15x slack factor absorbing sampling noise between adjacent rungs, and
-- every capped pressure row stays within a bounded factor of its nominal
-  same-budget counterpart — degradation under pressure must be graceful,
-  never divergence.
-
-Budget monotonicity is deliberately NOT gated inside pressure windows:
-there, error is governed by whether the halved budget forces a ladder
-transition, and a mid-sized budget that straddles a rung boundary can
-transiently do worse than a starved one that was already settled below
-it.
-
 Fleet-cache mode (`--fleet-cache FIRST SECOND STATS`) checks the cell
 cache round trip the CI fleet-cache-smoke job exercises: the two report
 artifacts from back-to-back runs over one cache directory must be
@@ -43,116 +24,11 @@ from cache, zero cells executed, zero fresh stores.
 
 Usage: bench_gate.py BASELINE FRESH TOLERANCE
        e.g. bench_gate.py BENCH_pipeline.json BENCH_pipeline_fresh.json 2.5
-       bench_gate.py --deadline BENCH_deadline.json
        bench_gate.py --fleet-cache first.json second.json stats2.json
 """
 
 import json
 import sys
-
-# Adjacent-budget slack for the nominal monotonicity gate: coarser rungs
-# trade accuracy for cost, but between neighbouring budgets the gap can be
-# inside run-to-run noise, so a strict <= would flake.
-DEADLINE_SLACK = 1.15
-
-# Ceiling on how much worse a capped row may get under pressure relative
-# to its nominal same-budget counterpart. Pressure windows legitimately
-# cost accuracy (forced descents, coasting); this bound separates that
-# graceful degradation from outright divergence (checked-in full sweep
-# peaks at ~11x on the 2% cliff).
-DEADLINE_PRESSURE_BOUND = 15.0
-
-
-def deadline_gate(path):
-    with open(path) as f:
-        doc = json.load(f)
-
-    by_scenario = {}
-    for row in doc.get("rows", []):
-        by_scenario.setdefault(row["scenario"], []).append(row)
-
-    failures = []
-    nominal = {r["budget_units"]: r for r in by_scenario.get("nominal", [])}
-
-    # Gate 1: without a controller, pressure must be a perfect no-op —
-    # the uncapped row repeats bitwise in every scenario, miss-free.
-    for scenario, rows in sorted(by_scenario.items()):
-        for row in rows:
-            if row["budget_units"] != 0:
-                continue
-            if row["misses"] != 0:
-                failures.append(
-                    f"{scenario} × {row['budget_label']}: uncapped row "
-                    f"booked {row['misses']} deadline misses"
-                )
-            base = nominal.get(0)
-            if base is not None and (
-                row["rmse_cm"] != base["rmse_cm"]
-                or row["mean_lat_err_cm"] != base["mean_lat_err_cm"]
-            ):
-                failures.append(
-                    f"{scenario}: uncapped row differs from nominal "
-                    f"({row['mean_lat_err_cm']:.2f} vs "
-                    f"{base['mean_lat_err_cm']:.2f} cm) — pressure leaked "
-                    f"into an uncontrolled run"
-                )
-
-    # Gate 2: nominal accuracy is monotone non-increasing in budget
-    # (uncapped = largest budget), within the adjacent-rung slack.
-    ordered = sorted(
-        by_scenario.get("nominal", []),
-        key=lambda r: r["budget_units"] if r["budget_units"] else float("inf"),
-    )
-    for prev, cur in zip(ordered, ordered[1:]):
-        limit = DEADLINE_SLACK * prev["mean_lat_err_cm"]
-        got = cur["mean_lat_err_cm"]
-        status = "ok" if got <= limit else "REGRESSED"
-        print(
-            f"nominal: {cur['budget_label']} lat err {got:.2f} cm "
-            f"(<= {DEADLINE_SLACK}x {prev['budget_label']} "
-            f"{prev['mean_lat_err_cm']:.2f} cm) {status}"
-        )
-        if got > limit:
-            failures.append(
-                f"nominal: {cur['budget_label']} lat err {got:.2f} cm > "
-                f"{DEADLINE_SLACK}x {prev['budget_label']} "
-                f"{prev['mean_lat_err_cm']:.2f} cm — more budget made "
-                f"accuracy worse"
-            )
-
-    # Gate 3: capped rows degrade gracefully under pressure — bounded
-    # relative to the same budget without pressure, never divergent.
-    for scenario, rows in sorted(by_scenario.items()):
-        if scenario == "nominal":
-            continue
-        for row in rows:
-            if row["budget_units"] == 0:
-                continue
-            base = nominal.get(row["budget_units"])
-            if base is None:
-                continue
-            limit = DEADLINE_PRESSURE_BOUND * base["mean_lat_err_cm"]
-            got = row["mean_lat_err_cm"]
-            status = "ok" if got <= limit else "DIVERGED"
-            print(
-                f"{scenario}: {row['budget_label']} lat err {got:.2f} cm "
-                f"(<= {DEADLINE_PRESSURE_BOUND}x nominal "
-                f"{base['mean_lat_err_cm']:.2f} cm) {status}"
-            )
-            if got > limit:
-                failures.append(
-                    f"{scenario}: {row['budget_label']} lat err "
-                    f"{got:.2f} cm > {DEADLINE_PRESSURE_BOUND}x nominal "
-                    f"{base['mean_lat_err_cm']:.2f} cm — degradation is "
-                    f"not graceful"
-                )
-
-    if failures:
-        print("\ndeadline sweep gate FAILED:", file=sys.stderr)
-        for f in failures:
-            print(f"  - {f}", file=sys.stderr)
-        sys.exit(1)
-    print("deadline sweep gate passed")
 
 
 def fleet_cache_gate(first_path, second_path, stats_path):
@@ -212,9 +88,6 @@ def rows(doc):
 
 
 def main():
-    if len(sys.argv) == 3 and sys.argv[1] == "--deadline":
-        deadline_gate(sys.argv[2])
-        return
     if len(sys.argv) == 5 and sys.argv[1] == "--fleet-cache":
         fleet_cache_gate(sys.argv[2], sys.argv[3], sys.argv[4])
         return
