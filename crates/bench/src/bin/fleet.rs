@@ -22,6 +22,14 @@
 //! Run with `cargo run -p raceloc-bench --release --bin fleet --
 //! [--spec robustness|faults|deadline] [--quick] [--threads N] [--out FILE]
 //! [--cache-dir DIR] [--stats-out FILE] [--stop-after-cells K]`.
+//! Without `--out` the report goes to the git-ignored
+//! `<experiment>-fresh.json` (`fleet-`, `faults-`, `deadline-fresh.json`);
+//! regenerating a checked-in baseline takes an explicit
+//! `--out BENCH_….json`.
+//!
+//! The engine simulates each (map, grip, scenario, replicate) trajectory
+//! once and steps every budget × method of it in lockstep (DESIGN.md
+//! §15), so the report is identical to running each cell alone.
 //!
 //! An interrupted run (`--stop-after-cells`, or a killed process) resumes
 //! by running again with the same `--cache-dir`: every cell already
@@ -74,13 +82,20 @@ impl SpecChoice {
         }
     }
 
-    /// The `experiment` label and the default `--out` path.
-    fn experiment(self) -> (&'static str, &'static str) {
+    /// The report's `experiment` label.
+    fn experiment(self) -> &'static str {
         match self {
-            Self::Robustness => ("fleet", "BENCH_fleet.json"),
-            Self::Faults => ("faults", "BENCH_faults.json"),
-            Self::Deadline => ("deadline", "BENCH_deadline.json"),
+            Self::Robustness => "fleet",
+            Self::Faults => "faults",
+            Self::Deadline => "deadline",
         }
+    }
+
+    /// The default `--out` path, `<experiment>-fresh.json`: git-ignored,
+    /// so a bare run never overwrites a checked-in `BENCH_*.json`
+    /// baseline (regenerating one takes an explicit `--out`).
+    fn default_out(self) -> String {
+        format!("{}-fresh.json", self.experiment())
     }
 }
 
@@ -296,8 +311,8 @@ fn main() {
         std::process::exit(2);
     }
     let spec = args.spec.build(args.quick);
-    let (experiment, default_out) = args.spec.experiment();
-    let out = args.out.as_deref().unwrap_or(default_out);
+    let experiment = args.spec.experiment();
+    let out = args.out.clone().unwrap_or_else(|| args.spec.default_out());
     println!(
         "{} — {} cells × {} replicates = {} closed-loop runs ({} threads)",
         spec.name,
@@ -353,7 +368,7 @@ fn main() {
         ("spec".into(), spec.to_json()),
         ("report".into(), report.to_json()),
     ]);
-    if let Err(e) = std::fs::write(out, format!("{json}\n")) {
+    if let Err(e) = std::fs::write(&out, format!("{json}\n")) {
         eprintln!("failed to write {out}: {e}");
         std::process::exit(1);
     }
@@ -390,16 +405,15 @@ mod tests {
     #[test]
     fn spec_flag_picks_the_spec_and_its_default_out() {
         assert_eq!(parse(&[]).spec, SpecChoice::Robustness);
+        assert_eq!(parse(&[]).spec.default_out(), "fleet-fresh.json");
         let faults = parse(&["--spec", "faults", "--quick"]);
         assert_eq!(faults.spec, SpecChoice::Faults);
-        assert_eq!(faults.spec.experiment(), ("faults", "BENCH_faults.json"));
+        assert_eq!(faults.spec.experiment(), "faults");
+        assert_eq!(faults.spec.default_out(), "faults-fresh.json");
         assert_eq!(faults.spec.build(faults.quick), fault_spec(true));
         let deadline = parse(&["--spec", "deadline"]);
         assert_eq!(deadline.spec, SpecChoice::Deadline);
-        assert_eq!(
-            deadline.spec.experiment(),
-            ("deadline", "BENCH_deadline.json")
-        );
+        assert_eq!(deadline.spec.default_out(), "deadline-fresh.json");
         assert_eq!(deadline.spec.build(deadline.quick), deadline_spec(false));
         assert_eq!(SpecChoice::parse("ladder"), None);
     }

@@ -10,8 +10,10 @@
 //! `bench-gate` job executes.
 //!
 //! Run with `cargo run -p raceloc-bench --release --bin pipeline --
-//! [--quick] [--threads 1,2,4] [--particles 1200,4000]
-//! [--out BENCH_pipeline.json]`.
+//! [--quick] [--threads 1,2,4] [--particles 1200,4000] [--out FILE]`.
+//! The report defaults to the git-ignored `pipeline-fresh.json`;
+//! regenerating the checked-in baseline takes
+//! `--out BENCH_pipeline.json`.
 
 use raceloc_bench::{test_track, track_artifacts};
 use raceloc_core::localizer::Localizer;
@@ -50,7 +52,7 @@ fn parse_args() -> Args {
         quick: false,
         threads: vec![1, 2, 4],
         particles: vec![1200, 4000],
-        out: "BENCH_pipeline.json".to_string(),
+        out: "pipeline-fresh.json".to_string(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {

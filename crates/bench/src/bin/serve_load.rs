@@ -8,7 +8,9 @@
 //! `serve-smoke` job executes.
 //!
 //! Run with `cargo run -p raceloc-bench --release --bin serve_load --
-//! [--quick] [--threads 1,2,4] [--out BENCH_serve.json]`.
+//! [--quick] [--threads 1,2,4] [--out FILE]`. The report defaults to the
+//! git-ignored `serve-fresh.json`; regenerating the checked-in baseline
+//! takes `--out BENCH_serve.json`.
 
 use raceloc_core::sensor_data::{LaserScan, Odometry};
 use raceloc_core::{stream_keys, Pose2, Rng64, Twist2};
@@ -29,7 +31,7 @@ fn parse_args() -> Args {
     let mut args = Args {
         quick: false,
         threads: vec![1, 2, 4],
-        out: "BENCH_serve.json".to_string(),
+        out: "serve-fresh.json".to_string(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {

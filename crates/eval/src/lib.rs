@@ -12,9 +12,11 @@
 //!   × compute budgets × localizers × seed replicates — as plain data
 //!   with a lossless JSON round-trip;
 //! - [`run_fleet`] expands the spec into runs, fans them over a
-//!   [`raceloc_par::WorkerPool`] (one closed-loop simulation per job,
-//!   inner parallelism pinned to 1), scatters outcomes back by job tag,
-//!   and folds them **in canonical run order**;
+//!   [`raceloc_par::WorkerPool`] (one simulated trajectory per job,
+//!   stepping every budget × localizer that shares it in lockstep —
+//!   [`execute_group`]; inner parallelism pinned to 1), scatters
+//!   outcomes back by job tag, and folds them **in canonical run
+//!   order**;
 //! - [`FleetReport`] carries per-cell statistics — mean/p95 RMSE and
 //!   lateral error, recovery-step distributions, success rates with
 //!   Wilson 95% intervals — plus a fleet-wide telemetry counter rollup;
@@ -84,8 +86,8 @@ pub use gates::{
     NOMINAL_SCENARIO, SLIP_SCENARIO,
 };
 pub use runner::{
-    execute_run, run_fleet, run_fleet_with, FleetCtx, FleetError, FleetRunOptions, FleetRunStats,
-    MapResources, RunOutcome,
+    execute_group, execute_run, run_fleet, run_fleet_with, FleetCtx, FleetError, FleetRunOptions,
+    FleetRunStats, MapResources, RunOutcome,
 };
 pub use spec::{
     CellKey, EvalMethod, FleetSpec, GripSpec, MapSpec, RunDesc, ScenarioSpec, SpecError,

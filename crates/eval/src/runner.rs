@@ -1,19 +1,21 @@
-//! Fleet execution: one closed-loop simulation per run, fanned over the
-//! persistent worker pool, reduced to deterministic per-run outcomes.
+//! Fleet execution: one closed-loop simulation per trajectory group,
+//! fanned over the persistent worker pool, reduced to deterministic
+//! per-run outcomes.
 //!
 //! Runs execute under **oracle control** (the car drives ground truth) so
 //! every localizer of a cell sees the identical trajectory and fault
-//! exposure. Each job pins its inner simulator and particle pipeline to
-//! one thread; the pool's thread count only fans *runs* out, and because
-//! every outcome is a pure function of its [`RunDesc`], the assembled
-//! outcome vector is bit-identical for any thread count and any
-//! job-completion order (rule R3 — `tests/fleet_determinism.rs` enforces
-//! this end to end).
+//! exposure — which is what lets [`execute_group`] simulate that
+//! trajectory once for every budget × method sharing it. Each job pins
+//! its inner simulator and particle pipelines to one thread; the pool's
+//! thread count only fans *groups* out, and because every outcome is a
+//! pure function of its [`RunDesc`], the assembled outcome vector is
+//! bit-identical for any thread count and any job-completion order (rule
+//! R3 — `tests/fleet_determinism.rs` enforces this end to end).
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use raceloc_core::localizer::DeadReckoning;
+use raceloc_core::localizer::{DeadReckoning, Localizer};
 use raceloc_core::{stats, stream_keys, DeadlineConfig, Health, Rng64};
 use raceloc_map::Track;
 use raceloc_obs::{Json, Telemetry};
@@ -233,93 +235,184 @@ impl RunOutcome {
     }
 }
 
-/// Executes one run of the fleet: builds the world for the run's map,
-/// grip, scenario, and derived seed, runs the localizer closed-loop under
-/// oracle control, and reduces the log. Pure in `(spec, desc)`; the
-/// context only caches what the spec already determines.
-pub fn execute_run(spec: &FleetSpec, desc: RunDesc, ctx: &FleetCtx) -> RunOutcome {
-    let (Some(res), Some(grip), Some(scenario), Some(&budget), Some(method)) = (
-        ctx.maps.get(desc.key.map),
-        spec.grips.get(desc.key.grip),
-        spec.scenarios.get(desc.key.scenario),
-        spec.budgets.get(desc.key.budget),
-        spec.methods.get(desc.key.method).copied(),
-    ) else {
-        return RunOutcome::unresolved(desc.index);
-    };
+/// One run's localizer, built for its seat in a trajectory group.
+enum Member {
+    SynPf(Box<SynPf<Arc<MapArtifacts>>>),
+    Cartographer(Box<CartoLocalizer>),
+    DeadReckoning(DeadReckoning),
+}
 
-    let mut wcfg = WorldConfig::default();
-    wcfg.vehicle.mu = grip.mu;
-    wcfg.seed = desc.world_seed;
-    wcfg.lidar.beams = spec.beams;
-    // Inner parallelism stays off: the fleet's unit of fan-out is the run.
-    wcfg.threads = 1;
-
-    let tel = Telemetry::enabled();
-    let mut world = World::new((*res.track).clone(), wcfg);
-    world.set_telemetry(tel.clone());
-    if !scenario.schedule.is_empty() {
-        world.set_fault_schedule(scenario.schedule.clone());
+impl Member {
+    /// Builds `method` under compute budget `budget` (0 = uncapped) on the
+    /// map's shared artifacts, recording into `tel`. `None` when the
+    /// configuration is invalid.
+    fn build(
+        spec: &FleetSpec,
+        method: EvalMethod,
+        budget: u64,
+        res: &MapResources,
+        filter_seed: u64,
+        tel: &Telemetry,
+    ) -> Option<Self> {
+        Some(match method {
+            EvalMethod::SynPf => {
+                let mut builder = SynPfConfig::builder()
+                    .particles(spec.particles)
+                    .threads(1)
+                    .seed(filter_seed)
+                    .recovery(RecoveryConfig::default())
+                    .health(HealthPolicy::default());
+                // A positive budget arms the deadline controller; KLD gives
+                // it the particle-count knob the ladder's rungs scale
+                // (DESIGN.md §14). Budget 0 keeps the historical uncapped
+                // pipeline.
+                if budget > 0 {
+                    builder = builder
+                        .kld(KldConfig {
+                            min_particles: (spec.particles / 4).max(50),
+                            max_particles: spec.particles,
+                            ..KldConfig::default()
+                        })
+                        .deadline(DeadlineConfig {
+                            budget_units: budget,
+                            ..DeadlineConfig::default()
+                        });
+                }
+                let config = builder.build().ok()?;
+                let mut pf = SynPf::from_artifacts(Arc::clone(&res.artifacts), config);
+                pf.enable_recovery(&res.track.grid);
+                pf.set_telemetry(tel.clone());
+                Self::SynPf(Box::new(pf))
+            }
+            EvalMethod::Cartographer => {
+                let config = CartoLocalizerConfig {
+                    health: Some(SlamHealthPolicy::default()),
+                    ..CartoLocalizerConfig::default()
+                };
+                let mut carto = CartoLocalizer::from_artifacts(&res.artifacts, config);
+                carto.set_telemetry(tel.clone());
+                Self::Cartographer(Box::new(carto))
+            }
+            EvalMethod::DeadReckoning => Self::DeadReckoning(DeadReckoning::new()),
+        })
     }
 
-    // The filter seed is derived from the world seed (not equal to it) so
-    // filter noise and world noise are independent streams.
-    let filter_seed = Rng64::stream(desc.world_seed, stream_keys::eval_filter()).next_u64();
+    fn localizer(&mut self) -> &mut dyn Localizer {
+        match self {
+            Self::SynPf(pf) => pf.as_mut(),
+            Self::Cartographer(carto) => carto.as_mut(),
+            Self::DeadReckoning(dr) => dr,
+        }
+    }
 
-    let log = match method {
-        EvalMethod::SynPf => {
-            let mut builder = SynPfConfig::builder()
-                .particles(spec.particles)
-                .threads(1)
-                .seed(filter_seed)
-                .recovery(RecoveryConfig::default())
-                .health(HealthPolicy::default());
-            // A positive budget arms the deadline controller; KLD gives it
-            // the particle-count knob the ladder's rungs scale (DESIGN.md
-            // §14). Budget 0 keeps the historical uncapped pipeline.
-            if budget > 0 {
-                builder = builder
-                    .kld(KldConfig {
-                        min_particles: (spec.particles / 4).max(50),
-                        max_particles: spec.particles,
-                        ..KldConfig::default()
-                    })
-                    .deadline(DeadlineConfig {
-                        budget_units: budget,
-                        ..DeadlineConfig::default()
-                    });
-            }
-            let Ok(config) = builder.build() else {
-                return RunOutcome::unresolved(desc.index);
-            };
-            let mut pf = SynPf::from_artifacts(Arc::clone(&res.artifacts), config);
-            pf.enable_recovery(&res.track.grid);
-            pf.set_telemetry(tel.clone());
-            let log = world.run_with_oracle_control(&mut pf, spec.duration_s);
+    /// Books what the localizer's state says once the run is over.
+    fn finish(&self, tel: &Telemetry) {
+        if let Self::SynPf(pf) = self {
             if let Some(ctl) = pf.deadline() {
                 // Where the ladder settled when the run ended — lets the
                 // report distinguish "degraded and recovered" from "pinned
                 // at the bottom rung".
                 tel.add("deadline.final_rung", ctl.rung() as u64);
             }
-            log
         }
-        EvalMethod::Cartographer => {
-            let config = CartoLocalizerConfig {
-                health: Some(SlamHealthPolicy::default()),
-                ..CartoLocalizerConfig::default()
-            };
-            let mut carto = CartoLocalizer::from_artifacts(&res.artifacts, config);
-            carto.set_telemetry(tel.clone());
-            world.run_with_oracle_control(&mut carto, spec.duration_s)
-        }
-        EvalMethod::DeadReckoning => {
-            let mut dr = DeadReckoning::new();
-            world.run_with_oracle_control(&mut dr, spec.duration_s)
-        }
+    }
+}
+
+/// Executes one run of the fleet: a [trajectory group](execute_group) of
+/// one. Pure in `(spec, desc)`; the context only caches what the spec
+/// already determines.
+pub fn execute_run(spec: &FleetSpec, desc: RunDesc, ctx: &FleetCtx) -> RunOutcome {
+    execute_group(spec, &[desc], ctx)
+        .into_iter()
+        .next()
+        .unwrap_or_else(|| RunOutcome::unresolved(desc.index))
+}
+
+/// Executes a **trajectory group**: runs that share one `(map, grip,
+/// scenario, replicate)` and so one world seed, differing only in compute
+/// budget and method. Builds that world once, steps every run's localizer
+/// on it in lockstep under oracle control
+/// ([`World::run_with_oracle_control_all`]), and reduces each log.
+/// Returns one outcome per descriptor, in order.
+///
+/// Sharing is exact: oracle control never reads a localizer and the
+/// world seed ignores budget and method, so each localizer sees the
+/// trajectory, sensor stream and call sequence of a solo run. The world
+/// records into its own telemetry, whose counters (`faults.*`, …) are
+/// then added into every run's — counters are additive — so each
+/// outcome is bit-identical to running its descriptor alone (DESIGN.md
+/// §15). A descriptor whose axes do not resolve, or whose trajectory
+/// differs from the first descriptor's, gets an unresolved outcome.
+pub fn execute_group(spec: &FleetSpec, descs: &[RunDesc], ctx: &FleetCtx) -> Vec<RunOutcome> {
+    let mut outcomes: Vec<RunOutcome> = descs
+        .iter()
+        .map(|d| RunOutcome::unresolved(d.index))
+        .collect();
+    let Some(first) = descs.first() else {
+        return outcomes;
+    };
+    let trajectory = |d: &RunDesc| (d.key.map, d.key.grip, d.key.scenario, d.world_seed);
+    let (Some(res), Some(grip), Some(scenario)) = (
+        ctx.maps.get(first.key.map),
+        spec.grips.get(first.key.grip),
+        spec.scenarios.get(first.key.scenario),
+    ) else {
+        return outcomes;
     };
 
-    reduce(spec, desc, res, scenario.measure_from, &tel, &log)
+    // The filter seed is derived from the world seed (not equal to it) so
+    // filter noise and world noise are independent streams.
+    let filter_seed = Rng64::stream(first.world_seed, stream_keys::eval_filter()).next_u64();
+    let mut members: Vec<(usize, Telemetry, Member)> = Vec::with_capacity(descs.len());
+    for (slot, desc) in descs.iter().enumerate() {
+        if trajectory(desc) != trajectory(first) {
+            continue;
+        }
+        let (Some(&budget), Some(&method)) = (
+            spec.budgets.get(desc.key.budget),
+            spec.methods.get(desc.key.method),
+        ) else {
+            continue;
+        };
+        let tel = Telemetry::enabled();
+        if let Some(member) = Member::build(spec, method, budget, res, filter_seed, &tel) {
+            members.push((slot, tel, member));
+        }
+    }
+    if members.is_empty() {
+        return outcomes;
+    }
+
+    let mut wcfg = WorldConfig::default();
+    wcfg.vehicle.mu = grip.mu;
+    wcfg.seed = first.world_seed;
+    wcfg.lidar.beams = spec.beams;
+    // Inner parallelism stays off: the fleet's unit of fan-out is the
+    // trajectory group.
+    wcfg.threads = 1;
+    let world_tel = Telemetry::enabled();
+    let mut world = World::new((*res.track).clone(), wcfg);
+    world.set_telemetry(world_tel.clone());
+    if !scenario.schedule.is_empty() {
+        world.set_fault_schedule(scenario.schedule.clone());
+    }
+    let logs = {
+        let mut localizers: Vec<&mut dyn Localizer> =
+            members.iter_mut().map(|(_, _, m)| m.localizer()).collect();
+        world.run_with_oracle_control_all(&mut localizers, spec.duration_s)
+    };
+
+    let world_snap = world_tel.snapshot();
+    for ((slot, tel, member), log) in members.iter().zip(&logs) {
+        member.finish(tel);
+        for (name, value) in world_snap.counters() {
+            tel.add(name, value);
+        }
+        if let (Some(out), Some(&desc)) = (outcomes.get_mut(*slot), descs.get(*slot)) {
+            *out = reduce(spec, desc, res, scenario.measure_from, tel, log);
+        }
+    }
+    outcomes
 }
 
 /// Reduces one run log to its deterministic outcome.
@@ -580,68 +673,81 @@ pub fn run_fleet_with(
         builder.fold_missing_cell(cell);
     }
 
-    // Execute the remainder in canonical-order waves, storing each
-    // completed wave before starting the next. The pool (and the
-    // expensive per-map artifact builds) only exist when something
-    // actually runs — a fully cached invocation never touches them.
+    // Execute the remainder in canonical-order waves of trajectory
+    // families, storing each completed wave before starting the next. A
+    // family is the cells sharing one (map, grip, scenario) — contiguous
+    // in canonical order — and one job runs one replicate of a family's
+    // pending cells on a single simulated trajectory (`execute_group`).
+    // The pool (and the expensive per-map artifact builds) only exist
+    // when something actually runs — a fully cached invocation never
+    // touches them.
     if !pending.is_empty() {
         let threads = opts.threads.max(1);
         let shared = Arc::new(spec.clone());
-        let pool: WorkerPool<FleetCtx, FnJob<FleetCtx, RunOutcome>> =
+        let pool: WorkerPool<FleetCtx, FnJob<FleetCtx, Vec<RunOutcome>>> =
             WorkerPool::new(FleetCtx::build(spec), threads);
-        // Enough cells per wave to keep every worker busy (~2 jobs per
-        // worker) without deferring checkpoints longer than needed.
-        let cells_per_wave = (threads * 2).div_ceil(replicates).max(1);
-        for wave in pending.chunks(cells_per_wave) {
-            let mut jobs: Vec<FnJob<FleetCtx, RunOutcome>> = Vec::new();
-            for (slot, &cell) in wave.iter().enumerate() {
-                let Some(&key) = cells.get(cell) else {
-                    continue;
-                };
-                for replicate in 0..spec.replicates {
+        let runs = spec.runs();
+        let family_len = (spec.budgets.len() * spec.methods.len()).max(1);
+        let families: Vec<&[usize]> = pending
+            .chunk_by(|a, b| a / family_len == b / family_len)
+            .collect();
+        // Enough families per wave to keep every worker busy (at least 2
+        // jobs per worker) without deferring checkpoints longer than
+        // needed.
+        let families_per_wave = (threads * 2).div_ceil(replicates).max(1);
+        for wave in families.chunks(families_per_wave) {
+            let mut jobs: Vec<FnJob<FleetCtx, Vec<RunOutcome>>> = Vec::new();
+            for (slot, family) in wave.iter().enumerate() {
+                for replicate in 0..replicates {
+                    let descs: Vec<RunDesc> = family
+                        .iter()
+                        .filter_map(|&cell| runs.get(cell * replicates + replicate).copied())
+                        .collect();
                     let spec = Arc::clone(&shared);
-                    let desc = RunDesc {
-                        index: cell * replicates + replicate as usize,
-                        cell,
-                        key,
-                        replicate,
-                        world_seed: spec.world_seed(key.map, key.grip, key.scenario, replicate),
-                    };
                     jobs.push(FnJob::new(
-                        slot * replicates + replicate as usize,
-                        move |ctx: &FleetCtx| execute_run(&spec, desc, ctx),
+                        slot * replicates + replicate,
+                        move |ctx: &FleetCtx| execute_group(&spec, &descs, ctx),
                     ));
                 }
             }
             pool.run_batch(&mut jobs);
             // Scatter by tag: run_batch hands jobs back in pool order.
-            let mut slots: Vec<Option<RunOutcome>> =
+            let mut groups: Vec<Option<Vec<RunOutcome>>> =
                 (0..wave.len() * replicates).map(|_| None).collect();
             for job in &mut jobs {
                 let tag = job.tag();
-                let out = job.take();
-                if let Some(slot) = slots.get_mut(tag) {
-                    *slot = out;
+                if let Some(slot) = groups.get_mut(tag) {
+                    *slot = job.take();
                 }
             }
-            for (slot, &cell) in wave.iter().enumerate() {
-                let outcomes = &slots[slot * replicates..(slot + 1) * replicates];
-                stats.executed_cells += 1;
-                stats.executed_runs += outcomes.iter().flatten().count() as u64;
-                // Only complete cells are durable: a cell with a missing
-                // outcome must re-run next time, not replay a hole.
-                if let Some(cache) = &cache {
-                    if outcomes.iter().all(Option::is_some) {
-                        let complete: Vec<RunOutcome> =
-                            outcomes.iter().flatten().cloned().collect();
-                        let hash = hashes.get(cell).copied().unwrap_or(0);
-                        cache
-                            .store(hash, &complete)
-                            .map_err(|e| io_err(cache.dir(), e))?;
-                        stats.cache_stores += 1;
+            for (slot, family) in wave.iter().enumerate() {
+                for (seat, &cell) in family.iter().enumerate() {
+                    // The cell's replicates sit at the same seat of each of
+                    // the family's per-replicate groups.
+                    let outcomes: Vec<Option<RunOutcome>> = (0..replicates)
+                        .map(|replicate| {
+                            let group = groups.get(slot * replicates + replicate)?.as_ref()?;
+                            group.get(seat).cloned()
+                        })
+                        .collect();
+                    stats.executed_cells += 1;
+                    stats.executed_runs += outcomes.iter().flatten().count() as u64;
+                    // Only complete cells are durable: a cell with a
+                    // missing outcome must re-run next time, not replay a
+                    // hole.
+                    if let Some(cache) = &cache {
+                        if outcomes.iter().all(Option::is_some) {
+                            let complete: Vec<RunOutcome> =
+                                outcomes.iter().flatten().cloned().collect();
+                            let hash = hashes.get(cell).copied().unwrap_or(0);
+                            cache
+                                .store(hash, &complete)
+                                .map_err(|e| io_err(cache.dir(), e))?;
+                            stats.cache_stores += 1;
+                        }
                     }
+                    builder.fold_cell(cell, &outcomes);
                 }
-                builder.fold_cell(cell, outcomes);
             }
         }
     }
@@ -712,6 +818,43 @@ mod tests {
         assert_eq!(a.pct_nominal, 1.0, "dead reckoning has no detectors");
         assert!(a.p95_err_cm <= a.max_err_cm + 1e-12);
         assert!(!a.counters.is_empty(), "world counters recorded");
+    }
+
+    #[test]
+    fn a_trajectory_group_equals_its_runs_executed_alone() {
+        let mut spec = micro_spec();
+        spec.budgets = vec![0, 10_000];
+        spec.methods = EvalMethod::all().to_vec();
+        // Faults on the shared world, so its own counters must reach
+        // every outcome of the group.
+        spec.scenarios[0].schedule = FaultSchedule::builder()
+            .seed(1)
+            .lidar_blackout(10, 14)
+            .compute_pressure(20, 40, 0.3)
+            .build()
+            .expect("valid");
+        let ctx = FleetCtx::build(&spec);
+        let runs = spec.runs();
+        assert_eq!(runs.len(), 6, "one trajectory: 2 budgets x 3 methods");
+        let alone: Vec<RunOutcome> = runs
+            .iter()
+            .map(|&desc| execute_run(&spec, desc, &ctx))
+            .collect();
+        assert!(alone.iter().all(|o| o
+            .counters
+            .iter()
+            .any(|&(name, v)| name == "faults.lidar_blackout.steps" && v == 4)));
+        assert_eq!(execute_group(&spec, &runs, &ctx), alone);
+
+        // A descriptor on another trajectory cannot join the group; the
+        // rest are unaffected.
+        let mut stray = runs.clone();
+        stray[4].world_seed ^= 1;
+        let grouped = execute_group(&spec, &stray, &ctx);
+        assert_eq!(grouped[4], RunOutcome::unresolved(stray[4].index));
+        for i in [0, 1, 2, 3, 5] {
+            assert_eq!(grouped[i], alone[i], "run {i}");
+        }
     }
 
     #[test]

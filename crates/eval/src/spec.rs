@@ -221,7 +221,8 @@ pub struct RunDesc {
     pub key: CellKey,
     /// Replicate number within the cell, `0..replicates`.
     pub replicate: u32,
-    /// The derived world seed (identical for every method of the cell).
+    /// The derived world seed (identical for every budget and method of
+    /// the trajectory: see [`crate::execute_group`]).
     pub world_seed: u64,
 }
 

@@ -138,6 +138,36 @@ fn resume_at_a_different_pool_width_than_the_interrupt() {
 }
 
 #[test]
+fn an_interrupt_inside_a_trajectory_family_resumes_byte_identical() {
+    // SynPF and dead reckoning share each (map, grip, scenario)
+    // trajectory, so every family holds two cells and an odd K stops
+    // between the two cells of one family.
+    let mut spec = micro_spec();
+    spec.methods = vec![EvalMethod::SynPf, EvalMethod::DeadReckoning];
+    let cells = spec.cells().len();
+    let uninterrupted = format!("{}", run_fleet(&spec, 2).expect("valid spec").to_json());
+    for (k, interrupt_width, resume_width) in [(1usize, 1usize, 4usize), (3, 2, 1), (5, 4, 2)] {
+        let dir = temp_dir(&format!("family-k{k}"));
+        interrupt(&spec, &dir, interrupt_width, k);
+        let (resumed, stats) =
+            run_fleet_with(&spec, &cached_opts(&dir, resume_width)).expect("resumed run");
+        assert_eq!(stats.cache_hits, k as u64);
+        assert_eq!(stats.executed_cells, (cells - k) as u64);
+        assert_eq!(
+            stats.executed_runs,
+            ((cells - k) * spec.replicates as usize) as u64,
+            "executed runs count localizer runs, not trajectories"
+        );
+        assert_eq!(
+            uninterrupted,
+            format!("{}", resumed.to_json()),
+            "k={k} ({interrupt_width} -> {resume_width} threads): resumed report drifted"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn a_store_torn_by_a_kill_is_a_miss_that_reruns_only_its_cell() {
     let spec = micro_spec();
     let cells = spec.cells().len() as u64;

@@ -173,7 +173,7 @@ pub struct SynPf<M: RangeMethod> {
     last_odom: Option<Odometry>,
     estimate: Pose2,
     /// Map to draw random recovery poses from (augmented MCL).
-    recovery_map: Option<OccupancyGrid>,
+    recovery_map: Option<RecoveryMap>,
     /// Long-term mean-likelihood EMA (augmented MCL).
     w_slow: f64,
     /// Short-term mean-likelihood EMA (augmented MCL).
@@ -250,6 +250,22 @@ fn free_cells(grid: &OccupancyGrid) -> Vec<GridIndex> {
         .collect()
 }
 
+/// The map random recovery poses are drawn from, with its free-cell list
+/// computed once when recovery is enabled — injection and automatic
+/// re-initialization draw from it every time they fire.
+#[derive(Debug, Clone)]
+struct RecoveryMap {
+    grid: OccupancyGrid,
+    free: Vec<GridIndex>,
+}
+
+impl RecoveryMap {
+    fn new(grid: OccupancyGrid) -> Self {
+        let free = free_cells(&grid);
+        Self { grid, free }
+    }
+}
+
 /// Draws one pose uniformly over free space: a random free cell, a
 /// uniform jitter within it, and a uniform heading — in that RNG order.
 fn draw_free_pose(grid: &OccupancyGrid, free: &[GridIndex], rng: &mut Rng64) -> Pose2 {
@@ -306,7 +322,7 @@ impl SynPf<Arc<MapArtifacts>> {
         if self.config.recovery.is_none() {
             self.config.recovery = Some(RecoveryConfig::default());
         }
-        self.recovery_map = Some(grid);
+        self.recovery_map = Some(RecoveryMap::new(grid));
     }
 }
 
@@ -381,14 +397,14 @@ impl<M: RangeMethod + 'static> SynPf<M> {
     /// short-term average collapses (`w_fast ≪ w_slow`), injects uniformly
     /// drawn free-space particles during resampling.
     ///
-    /// The map is cloned to sample the random poses from; the recovery
-    /// rates come from [`SynPfConfig::recovery`] (defaults are applied when
-    /// it is `None`).
+    /// The map is cloned, and its free cells listed, to sample the random
+    /// poses from; the recovery rates come from [`SynPfConfig::recovery`]
+    /// (defaults are applied when it is `None`).
     pub fn enable_recovery(&mut self, grid: &OccupancyGrid) {
         if self.config.recovery.is_none() {
             self.config.recovery = Some(RecoveryConfig::default());
         }
-        self.recovery_map = Some(grid.clone());
+        self.recovery_map = Some(RecoveryMap::new(grid.clone()));
     }
 
     /// The current recovery likelihood ratio `w_fast / w_slow` (≥1 means
@@ -430,18 +446,17 @@ impl<M: RangeMethod + 'static> SynPf<M> {
         if fraction <= 0.0 {
             return;
         }
-        let Some(grid) = &self.recovery_map else {
+        let Some(map) = &self.recovery_map else {
             return;
         };
-        let free = free_cells(grid);
-        if free.is_empty() {
+        if map.free.is_empty() {
             return;
         }
         let n = self.store.len();
         let count = ((n as f64 * fraction).round() as usize).min(n);
         for _ in 0..count {
             let slot = self.rng.uniform_usize(n);
-            let pose = draw_free_pose(grid, &free, &mut self.rng);
+            let pose = draw_free_pose(&map.grid, &map.free, &mut self.rng);
             self.store.set_pose(slot, pose);
         }
     }
@@ -497,12 +512,16 @@ impl<M: RangeMethod + 'static> SynPf<M> {
     /// Scatters particles uniformly over the free cells of a grid (global
     /// localization / kidnapped-robot initialization).
     pub fn global_init(&mut self, grid: &OccupancyGrid) {
-        let free = free_cells(grid);
+        self.scatter(grid, &free_cells(grid));
+    }
+
+    /// [`SynPf::global_init`] over a precomputed free-cell list of `grid`.
+    fn scatter(&mut self, grid: &OccupancyGrid, free: &[GridIndex]) {
         if free.is_empty() {
             return;
         }
         for i in 0..self.store.len() {
-            let pose = draw_free_pose(grid, &free, &mut self.rng);
+            let pose = draw_free_pose(grid, free, &mut self.rng);
             self.store.set_pose(i, pose);
         }
         let u = 1.0 / self.store.len() as f64;
@@ -831,14 +850,14 @@ impl<M: RangeMethod + 'static> SynPf<M> {
         let signal = self.detector_signal(policy, mean_lw, mean_lik);
         let state = self.health_monitor.observe(signal);
         if state == Health::Lost && policy.auto_reinit {
-            let Some(grid) = self.recovery_map.take() else {
+            let Some(map) = self.recovery_map.take() else {
                 return;
             };
             // Uniform reseed over free space: the same machinery as
             // kidnapped-robot initialization, plus a detector holdoff and
             // fresh likelihood statistics for the new cloud.
-            self.global_init(&grid);
-            self.recovery_map = Some(grid);
+            self.scatter(&map.grid, &map.free);
+            self.recovery_map = Some(map);
             self.health_monitor.notify_reinit();
             // The ladder mirrors the health holdoff: no climbing into an
             // expensive rung while the re-scattered cloud re-converges.

@@ -26,9 +26,13 @@ fn alloc_events<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOC.total_events() - before, result)
 }
 
-fn drive(pf: &mut SynPf<RayMarching>, scan: &LaserScan, steps: usize, t0: usize) {
+/// Runs `steps` predict/correct steps, cycling through `scans`. Returns
+/// the lowest recovery ratio `w_fast / w_slow` seen after a correction
+/// (1 when recovery is off).
+fn drive_cycling(pf: &mut SynPf<RayMarching>, scans: &[LaserScan], steps: usize, t0: usize) -> f64 {
     let mut odom_pose = Pose2::IDENTITY;
-    for i in 0..steps {
+    let mut min_ratio = 1.0f64;
+    for (i, scan) in scans.iter().cycle().take(steps).enumerate() {
         odom_pose = odom_pose * Pose2::new(0.02, 0.0, 0.003);
         pf.predict(&Odometry::new(
             odom_pose,
@@ -36,7 +40,31 @@ fn drive(pf: &mut SynPf<RayMarching>, scan: &LaserScan, steps: usize, t0: usize)
             (t0 + i) as f64 * 0.05,
         ));
         pf.correct(scan);
+        min_ratio = min_ratio.min(pf.recovery_health().unwrap_or(1.0));
     }
+    min_ratio
+}
+
+fn drive(pf: &mut SynPf<RayMarching>, scan: &LaserScan, steps: usize, t0: usize) {
+    drive_cycling(pf, std::slice::from_ref(scan), steps, t0);
+}
+
+/// A noise-free 181-beam, 270° scan of `track` from `sensor`.
+fn cast_scan(track: &raceloc_map::Track, sensor: Pose2) -> LaserScan {
+    let caster = RayMarching::new(&track.grid, 10.0);
+    let beams = 181;
+    let fov = 270.0f64.to_radians();
+    let inc = fov / (beams - 1) as f64;
+    let ranges: Vec<f64> = (0..beams)
+        .map(|i| {
+            caster.range(
+                sensor.x,
+                sensor.y,
+                sensor.theta - 0.5 * fov + i as f64 * inc,
+            )
+        })
+        .collect();
+    LaserScan::new(-0.5 * fov, inc, ranges, 10.0)
 }
 
 #[test]
@@ -47,23 +75,7 @@ fn steady_state_step_allocates_nothing() {
     })
     .resolution(0.1)
     .build();
-    let scan = {
-        let caster = RayMarching::new(&track.grid, 10.0);
-        let beams = 181;
-        let fov = 270.0f64.to_radians();
-        let inc = fov / (beams - 1) as f64;
-        let sensor = track.start_pose() * Pose2::new(0.1, 0.0, 0.0);
-        let ranges: Vec<f64> = (0..beams)
-            .map(|i| {
-                caster.range(
-                    sensor.x,
-                    sensor.y,
-                    sensor.theta - 0.5 * fov + i as f64 * inc,
-                )
-            })
-            .collect();
-        LaserScan::new(-0.5 * fov, inc, ranges, 10.0)
-    };
+    let scan = cast_scan(&track, track.start_pose() * Pose2::new(0.1, 0.0, 0.0));
 
     // Sequential configuration: the strict paper setup (threads = 1,
     // default config — no KLD, no recovery, telemetry disabled).
@@ -102,5 +114,37 @@ fn steady_state_step_allocates_nothing() {
     assert_eq!(
         events, 0,
         "pooled steady-state step must not touch the heap"
+    );
+
+    // Recovery-enabled configuration (augmented MCL): a scan seen from a
+    // quarter turn off the true heading collapses the short-term
+    // likelihood every other step, so uniform free-space particles are
+    // injected during resampling. The draws come from the free-cell list
+    // built once by `enable_recovery`, so injection allocates nothing.
+    let wrong = cast_scan(
+        &track,
+        track.start_pose() * Pose2::new(0.1, 0.0, std::f64::consts::FRAC_PI_2),
+    );
+    let scans = [scan.clone(), wrong];
+    let caster = RayMarching::new(&track.grid, 10.0);
+    let config = SynPfConfig::builder()
+        .particles(600)
+        .seed(9)
+        .build()
+        .expect("valid config");
+    let mut pf = SynPf::new(caster, config);
+    pf.enable_recovery(&track.grid);
+    pf.reset(track.start_pose());
+    drive_cycling(&mut pf, &scans, 8, 0);
+
+    let (events, min_ratio) = alloc_events(|| drive_cycling(&mut pf, &scans, 20, 8));
+    // Injection replaces round(N · (1 − w_fast/w_slow)) particles.
+    assert!(
+        600.0 * (1.0 - min_ratio) >= 1.0,
+        "recovery injection never fired (min w_fast/w_slow {min_ratio})"
+    );
+    assert_eq!(
+        events, 0,
+        "recovery-enabled steady-state step must not touch the heap"
     );
 }

@@ -103,7 +103,7 @@ pub struct LogSample {
 }
 
 /// The record of a closed-loop run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimLog {
     /// One entry per LiDAR correction.
     pub samples: Vec<LogSample>,
@@ -127,6 +127,12 @@ impl SimLog {
             return 0.0;
         }
         self.samples.iter().map(|s| s.correct_seconds).sum::<f64>() / self.samples.len() as f64
+    }
+
+    /// Logs `scan` with the estimate of the latest sample.
+    fn keep_scan(&mut self, stamp: f64, scan: LaserScan) {
+        let est = self.samples.last().map_or(Pose2::IDENTITY, |s| s.est_pose);
+        self.scans.push((stamp, est, scan));
     }
 }
 
@@ -370,7 +376,7 @@ impl World {
     pub fn run<L: Localizer + ?Sized>(&mut self, localizer: &mut L, duration: f64) -> SimLog {
         // Without a recorder there is no I/O, so the error slot is always
         // `None` and can be dropped without losing information.
-        self.run_inner(localizer, duration, false, None).0
+        only_log(self.run_inner(&mut [localizer], duration, false, None).0)
     }
 
     /// Runs the closed loop with the controller fed the *ground-truth* pose
@@ -381,13 +387,35 @@ impl World {
     /// lets experiments distinguish localization failures from an
     /// undrivable speed profile. The supplied localizer still receives all
     /// sensor data and its estimates are logged — only the control input
-    /// differs.
+    /// differs. The one-localizer case of
+    /// [`World::run_with_oracle_control_all`].
     pub fn run_with_oracle_control<L: Localizer + ?Sized>(
         &mut self,
         localizer: &mut L,
         duration: f64,
     ) -> SimLog {
-        self.run_inner(localizer, duration, true, None).0
+        only_log(self.run_inner(&mut [localizer], duration, true, None).0)
+    }
+
+    /// Runs every localizer of `localizers` on **one** simulated trajectory
+    /// under oracle control, in lockstep, and returns one log per
+    /// localizer (in slice order).
+    ///
+    /// Oracle control never reads a localizer, so the world — physics,
+    /// sensor noise, faults — evolves exactly as it would with any single
+    /// one of them, and each localizer receives exactly the call sequence
+    /// a solo [`World::run_with_oracle_control`] gives it: `reset`, every
+    /// `predict`, and per scan `set_compute_pressure` (under a fault
+    /// schedule) then `correct`. Each log is therefore bit-identical to
+    /// that localizer's solo log, wall-clock fields aside. Truth, stamps,
+    /// scans and the crash flag are shared; estimates, health and timings
+    /// are per localizer.
+    pub fn run_with_oracle_control_all(
+        &mut self,
+        localizers: &mut [&mut dyn Localizer],
+        duration: f64,
+    ) -> Vec<SimLog> {
+        self.run_inner(localizers, duration, true, None).0
     }
 
     /// Runs the closed loop like [`World::run`] while streaming one JSONL
@@ -414,16 +442,21 @@ impl World {
             ("lidar_hz", Json::num(self.config.lidar_hz)),
             ("seed", Json::num(self.config.seed as f64)),
         ])?;
-        let (log, io_err) = self.run_inner(localizer, duration, false, Some(recorder));
+        let (logs, io_err) = self.run_inner(&mut [localizer], duration, false, Some(recorder));
         if let Some(e) = io_err {
             return Err(e);
         }
         recorder.flush()?;
-        Ok(log)
+        Ok(only_log(logs))
     }
 
     /// The shared closed-loop body behind [`World::run`],
-    /// [`World::run_with_oracle_control`], and [`World::run_recorded`].
+    /// [`World::run_with_oracle_control`],
+    /// [`World::run_with_oracle_control_all`], and [`World::run_recorded`]:
+    /// one trajectory, every localizer of `localizers` stepped on it in
+    /// lockstep, one log per localizer. Closed-loop control
+    /// (`oracle_control == false`) steers from the first localizer, so its
+    /// callers pass exactly one.
     ///
     /// Infallible by construction: a recorder write error aborts the run
     /// and is handed back in the second tuple slot instead of unwinding, so
@@ -431,12 +464,14 @@ impl World {
     /// without a structurally-impossible `expect`.
     fn run_inner<L: Localizer + ?Sized>(
         &mut self,
-        localizer: &mut L,
+        localizers: &mut [&mut L],
         duration: f64,
         oracle_control: bool,
         mut recorder: Option<&mut RunRecorder>,
-    ) -> (SimLog, Option<io::Error>) {
-        localizer.reset(self.state.pose);
+    ) -> (Vec<SimLog>, Option<io::Error>) {
+        for localizer in localizers.iter_mut() {
+            localizer.reset(self.state.pose);
+        }
         if let Some(fb) = self.faults.as_mut() {
             fb.reset();
         }
@@ -452,16 +487,10 @@ impl World {
         let mut next_lidar = start_time + 0.5 * lidar_period; // offset: odom before scan
         let mut next_control = start_time;
         let mut cmd = DriveCommand::default();
-        let mut log = SimLog {
-            samples: Vec::new(),
-            scans: Vec::new(),
-            predict_seconds_total: 0.0,
-            predict_calls: 0,
-            crashed: false,
-            duration: 0.0,
-        };
+        let mut logs: Vec<SimLog> = localizers.iter().map(|_| SimLog::default()).collect();
         let mut scan_counter = 0usize;
         let mut wheel_speed_estimate = 0.0;
+        let mut crashed = false;
         for _ in 0..steps {
             if self.time + 1e-12 >= next_odom {
                 next_odom += odom_period;
@@ -483,12 +512,14 @@ impl World {
                 }
                 let odom = self.odometer.sample(&observed, odom_period, self.time);
                 wheel_speed_estimate = odom.twist.vx;
-                let t0 = Stopwatch::start();
-                localizer.predict(&odom);
-                let predict_seconds = t0.elapsed_seconds();
-                self.tel.record_span("sim.predict", predict_seconds);
-                log.predict_seconds_total += predict_seconds;
-                log.predict_calls += 1;
+                for (localizer, log) in localizers.iter_mut().zip(&mut logs) {
+                    let t0 = Stopwatch::start();
+                    localizer.predict(&odom);
+                    let predict_seconds = t0.elapsed_seconds();
+                    self.tel.record_span("sim.predict", predict_seconds);
+                    log.predict_seconds_total += predict_seconds;
+                    log.predict_calls += 1;
+                }
             }
             if self.time + 1e-12 >= next_lidar {
                 next_lidar += lidar_period;
@@ -551,51 +582,62 @@ impl World {
                     // budget (DESIGN.md §14) before the correction it
                     // gates; sensors are untouched. Delivered every step so
                     // the factor relaxes back to 1 when the window closes.
-                    localizer.set_compute_pressure(fb.schedule.budget_factor_at(fb.scan_step));
+                    let factor = fb.schedule.budget_factor_at(fb.scan_step);
+                    for localizer in localizers.iter_mut() {
+                        localizer.set_compute_pressure(factor);
+                    }
                     fb.tracker.record(&fb.schedule, fb.scan_step, &self.tel);
                     fb.scan_step += 1;
                 }
                 if self.tel.is_enabled() {
                     self.caster.publish_stats(&self.tel);
                 }
-                let t0 = Stopwatch::start();
-                let est = localizer.correct(&scan);
-                let correct_seconds = t0.elapsed_seconds();
-                self.tel.record_span("sim.correct", correct_seconds);
-                if let Some(rec) = recorder.as_deref_mut() {
-                    let write = rec.record_step(&StepRecord {
-                        step: log.samples.len() as u64,
+                for (localizer, log) in localizers.iter_mut().zip(&mut logs) {
+                    let t0 = Stopwatch::start();
+                    let est = localizer.correct(&scan);
+                    let correct_seconds = t0.elapsed_seconds();
+                    self.tel.record_span("sim.correct", correct_seconds);
+                    if let Some(rec) = recorder.as_deref_mut() {
+                        let write = rec.record_step(&StepRecord {
+                            step: log.samples.len() as u64,
+                            stamp: self.time,
+                            true_pose: self.state.pose,
+                            est_pose: est,
+                            correct_seconds,
+                            diag: localizer.diagnostics(),
+                        });
+                        if let Err(e) = write {
+                            finish_logs(&mut logs, self.time - start_time, crashed);
+                            return (logs, Some(e));
+                        }
+                    }
+                    log.samples.push(LogSample {
                         stamp: self.time,
                         true_pose: self.state.pose,
                         est_pose: est,
                         correct_seconds,
-                        diag: localizer.diagnostics(),
+                        true_speed: self.state.speed(),
+                        wheel_speed: self.state.wheel_speed,
+                        health: localizer.health(),
                     });
-                    if let Err(e) = write {
-                        log.duration = self.time - start_time;
-                        return (log, Some(e));
-                    }
                 }
-                log.samples.push(LogSample {
-                    stamp: self.time,
-                    true_pose: self.state.pose,
-                    est_pose: est,
-                    correct_seconds,
-                    true_speed: self.state.speed(),
-                    wheel_speed: self.state.wheel_speed,
-                    health: localizer.health(),
-                });
                 if scan_counter.is_multiple_of(self.config.scan_log_stride) {
-                    log.scans.push((self.time, est, scan));
+                    // Every log keeps the shared scan with its own estimate;
+                    // the last one takes the original instead of a copy.
+                    if let Some((last, rest)) = logs.split_last_mut() {
+                        for log in rest {
+                            log.keep_scan(self.time, scan.clone());
+                        }
+                        last.keep_scan(self.time, scan);
+                    }
                 }
                 scan_counter += 1;
             }
             if self.time + 1e-12 >= next_control {
                 next_control += control_period;
-                let control_pose = if oracle_control {
-                    self.state.pose
-                } else {
-                    localizer.pose()
+                let control_pose = match localizers.first() {
+                    Some(localizer) if !oracle_control => localizer.pose(),
+                    _ => self.state.pose,
                 };
                 cmd = self.pursuit.control(control_pose, wheel_speed_estimate);
             }
@@ -622,13 +664,26 @@ impl World {
                 .state_at_world(self.state.pose.translation())
                 != CellState::Free
             {
-                log.crashed = true;
+                crashed = true;
                 break;
             }
         }
-        log.duration = self.time - start_time;
-        (log, None)
+        finish_logs(&mut logs, self.time - start_time, crashed);
+        (logs, None)
     }
+}
+
+/// Stamps the shared end-of-run fields onto every log of a run.
+fn finish_logs(logs: &mut [SimLog], duration: f64, crashed: bool) {
+    for log in logs {
+        log.duration = duration;
+        log.crashed = crashed;
+    }
+}
+
+/// The log of a one-localizer run (empty if, impossibly, there is none).
+fn only_log(logs: Vec<SimLog>) -> SimLog {
+    logs.into_iter().next().unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -675,14 +730,7 @@ mod tests {
         let mut oracle = Oracle {
             pose: world.state().pose,
         };
-        let mut log = SimLog {
-            samples: Vec::new(),
-            scans: Vec::new(),
-            predict_seconds_total: 0.0,
-            predict_calls: 0,
-            crashed: false,
-            duration: 0.0,
-        };
+        let mut log = SimLog::default();
         let seg = 0.05;
         let mut t = 0.0;
         while t < duration {
