@@ -9,8 +9,8 @@
 use raceloc_bench::test_track;
 use raceloc_core::Rng64;
 use raceloc_map::CellState;
+use raceloc_obs::Stopwatch;
 use raceloc_range::{BresenhamCasting, Cddt, RangeLut, RangeMethod, RayMarching};
-use std::time::Instant;
 
 fn free_space_queries(track: &raceloc_map::Track, n: usize) -> Vec<(f64, f64, f64)> {
     let mut rng = Rng64::new(17);
@@ -43,9 +43,9 @@ fn bench_method<M: RangeMethod>(
         &queries[..1000.min(queries.len())],
         &mut out[..1000.min(queries.len())],
     );
-    let t0 = Instant::now();
+    let t0 = Stopwatch::start();
     method.ranges_into(queries, &mut out);
-    let per_query_ns = t0.elapsed().as_secs_f64() / queries.len() as f64 * 1e9;
+    let per_query_ns = t0.elapsed_seconds() / queries.len() as f64 * 1e9;
     let mut err = raceloc_core::RunningStats::new();
     for (a, b) in out.iter().zip(reference) {
         err.push((a - b).abs());
@@ -72,43 +72,43 @@ fn main() {
     let track = test_track();
     let queries = free_space_queries(&track, 60_000);
 
-    let t0 = Instant::now();
+    let t0 = Stopwatch::start();
     let bres = BresenhamCasting::new(&track.grid, 10.0);
-    let bres_build = t0.elapsed().as_secs_f64();
+    let bres_build = t0.elapsed_seconds();
     let mut reference = vec![0.0; queries.len()];
     bres.ranges_into(&queries, &mut reference);
     bench_method("bresenham", &bres, &queries, &reference, bres_build);
 
-    let t0 = Instant::now();
+    let t0 = Stopwatch::start();
     let rm = RayMarching::new(&track.grid, 10.0);
-    let rm_build = t0.elapsed().as_secs_f64();
+    let rm_build = t0.elapsed_seconds();
     bench_method("ray-marching", &rm, &queries, &reference, rm_build);
 
-    let t0 = Instant::now();
+    let t0 = Stopwatch::start();
     let cddt = Cddt::new(&track.grid, 10.0, 180);
-    let cddt_build = t0.elapsed().as_secs_f64();
+    let cddt_build = t0.elapsed_seconds();
     bench_method("cddt", &cddt, &queries, &reference, cddt_build);
 
-    let t0 = Instant::now();
+    let t0 = Stopwatch::start();
     let mut pruned = Cddt::new(&track.grid, 10.0, 180);
     pruned.prune();
-    let pruned_build = t0.elapsed().as_secs_f64();
+    let pruned_build = t0.elapsed_seconds();
     bench_method("cddt-pruned", &pruned, &queries, &reference, pruned_build);
 
-    let t0 = Instant::now();
+    let t0 = Stopwatch::start();
     let lut = RangeLut::new(&track.grid, 10.0, 72);
-    let lut_build = t0.elapsed().as_secs_f64();
+    let lut_build = t0.elapsed_seconds();
     bench_method("lut", &lut, &queries, &reference, lut_build);
 
     println!();
     println!("Threaded batch casting (GPU-mode substitute), Bresenham backend:");
     for threads in [1, 2, 4, 8] {
         let mut out = vec![0.0; queries.len()];
-        let t0 = Instant::now();
+        let t0 = Stopwatch::start();
         bres.par_ranges_into(&queries, &mut out, threads);
         println!(
             "  threads={threads}: {:>8.1} ns/query",
-            t0.elapsed().as_secs_f64() / queries.len() as f64 * 1e9
+            t0.elapsed_seconds() / queries.len() as f64 * 1e9
         );
     }
 }

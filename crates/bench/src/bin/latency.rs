@@ -4,7 +4,7 @@
 //! particle count, plus the same measurement for the other range methods.
 //!
 //! All numbers come from the `raceloc-obs` telemetry spans the filter
-//! records (`pf.motion` / `pf.raycast` / `pf.sensor` / `pf.resample` /
+//! records (`pf.motion` / `pf.cast_weight` / `pf.reduce` / `pf.resample` /
 //! `pf.correct`), so the per-stage breakdown printed here is the same
 //! data path `World::run_recorded` streams to JSONL.
 //!
@@ -13,7 +13,7 @@
 use raceloc_bench::{test_track, track_artifacts};
 use raceloc_core::localizer::Localizer;
 use raceloc_core::sensor_data::LaserScan;
-use raceloc_obs::{Snapshot, Telemetry};
+use raceloc_obs::{names, Snapshot, Telemetry};
 use raceloc_pf::{SynPf, SynPfConfig};
 use raceloc_range::{BresenhamCasting, Cddt, RangeMethod, RayMarching};
 use raceloc_sim::{Lidar, LidarSpec};
@@ -55,7 +55,7 @@ fn measure_pf<M: RangeMethod + 'static>(
 }
 
 fn correct_ms(snap: &Snapshot) -> f64 {
-    snap.span("pf.correct")
+    snap.span(names::PF_CORRECT.as_str())
         .map(|s| s.mean_seconds() * 1e3)
         .unwrap_or(f64::NAN)
 }
@@ -66,23 +66,23 @@ fn print_stage_breakdown(snap: &Snapshot) {
         "stage", "mean [ms]", "min [ms]", "max [ms]"
     );
     for stage in [
-        "pf.motion",
-        "pf.raycast",
-        "pf.sensor",
-        "pf.resample",
-        "pf.correct",
+        names::PF_MOTION,
+        names::PF_CAST_WEIGHT,
+        names::PF_REDUCE,
+        names::PF_RESAMPLE,
+        names::PF_CORRECT,
     ] {
-        if let Some(s) = snap.span(stage) {
+        if let Some(s) = snap.span(stage.as_str()) {
             println!(
                 "  {:<14} {:>10.4} {:>10.4} {:>10.4}",
-                stage,
+                stage.as_str(),
                 s.mean_seconds() * 1e3,
                 s.min_seconds * 1e3,
                 s.max_seconds * 1e3,
             );
         }
     }
-    if let Some(h) = snap.histogram("pf.correct") {
+    if let Some(h) = snap.histogram(names::PF_CORRECT.as_str()) {
         let p = |q: f64| {
             h.quantile_upper_bound(q)
                 .map(|s| format!("{:.3}", s * 1e3))
@@ -141,7 +141,7 @@ fn main() {
     println!("Threaded batch casting (the rangelibc GPU-mode substitute), N=1200, LUT:");
     for threads in [1, 2, 4, 8] {
         let snap = measure_pf(Arc::clone(&artifacts), 1200, threads, &track, &scan);
-        let queries = snap.counter("range.queries").unwrap_or(0);
+        let queries = snap.counter(names::RANGE_QUERIES.as_str()).unwrap_or(0);
         println!(
             "  threads={threads}: {:>8.3} ms  ({queries} batched range queries)",
             correct_ms(&snap)

@@ -20,7 +20,7 @@ use raceloc_core::localizer::Localizer;
 use raceloc_core::sensor_data::{LaserScan, Odometry};
 use raceloc_core::{Pose2, Twist2};
 use raceloc_map::Track;
-use raceloc_obs::{Json, Stopwatch, Telemetry};
+use raceloc_obs::{names, Json, Stopwatch, Telemetry};
 use raceloc_pf::resample::normalize;
 use raceloc_pf::{BeamSensorModel, SynPf, SynPfConfig};
 use raceloc_range::{MapArtifacts, RangeMethod, RayMarching};
@@ -291,11 +291,12 @@ fn measure(
         step_ms.push(t0.elapsed_seconds() * 1e3);
     }
     let snap = tel.snapshot();
-    let (correct_mean, correct_p50, correct_p99) = match snap.histogram("pf.correct") {
+    let (correct_mean, correct_p50, correct_p99) = match snap.histogram(names::PF_CORRECT.as_str())
+    {
         Some(h) => {
             let p = |q: f64| h.quantile_upper_bound(q).map_or(f64::NAN, |s| s * 1e3);
             let mean = snap
-                .span("pf.correct")
+                .span(names::PF_CORRECT.as_str())
                 .map_or(f64::NAN, |s| s.mean_seconds() * 1e3);
             (mean, p(0.5), p(0.99))
         }

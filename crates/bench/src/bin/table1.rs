@@ -90,24 +90,31 @@ fn main() {
             .find(|r| r.method == m && r.odom == o)
             .map_or(f64::NAN, f)
     };
-    let err = |m: &str, o: &str| cell(m, o, |r| r.lateral_error_cm.mean);
-    let est = |m: &str, o: &str| cell(m, o, |r| r.est_error_cm.mean);
-    let align = |m: &str, o: &str| cell(m, o, |r| r.scan_align_pct);
+    let delta = |m: &str, f: fn(&CellResult) -> f64| {
+        let find = |o: &str| results.iter().find(|r| r.method == m && r.odom == o);
+        let pct = find("HQ")
+            .zip(find("LQ"))
+            .and_then(|(hq, lq)| hq_to_lq_pct(hq, lq, f));
+        pct.map_or_else(|| "n/a (0 timed laps)".to_string(), |p| format!("{p:+.1}%"))
+    };
+    let err = |r: &CellResult| r.lateral_error_cm.mean;
+    let est = |r: &CellResult| r.est_error_cm.mean;
+    let align = |r: &CellResult| r.scan_align_pct;
     println!();
     println!(
-        "Cartographer HQ→LQ: lateral error {:+.1}% (paper +66.6%), alignment {:+.1}% (paper -11.0%)",
-        100.0 * (err("Cartographer", "LQ") / err("Cartographer", "HQ") - 1.0),
-        100.0 * (align("Cartographer", "LQ") / align("Cartographer", "HQ") - 1.0),
+        "Cartographer HQ→LQ: lateral error {} (paper +66.6%), alignment {} (paper -11.0%)",
+        delta("Cartographer", err),
+        delta("Cartographer", align),
     );
     println!(
-        "SynPF        HQ→LQ: lateral error {:+.1}% (paper -6.9%),  alignment {:+.1}% (paper -0.8%)",
-        100.0 * (err("SynPF", "LQ") / err("SynPF", "HQ") - 1.0),
-        100.0 * (align("SynPF", "LQ") / align("SynPF", "HQ") - 1.0),
+        "SynPF        HQ→LQ: lateral error {} (paper -6.9%),  alignment {} (paper -0.8%)",
+        delta("SynPF", err),
+        delta("SynPF", align),
     );
     println!(
-        "Estimation error HQ→LQ: Cartographer {:+.1}%, SynPF {:+.1}%",
-        100.0 * (est("Cartographer", "LQ") / est("Cartographer", "HQ") - 1.0),
-        100.0 * (est("SynPF", "LQ") / est("SynPF", "HQ") - 1.0),
+        "Estimation error HQ→LQ: Cartographer {}, SynPF {}",
+        delta("Cartographer", est),
+        delta("SynPF", est),
     );
 
     println!();
@@ -151,5 +158,50 @@ fn main() {
     if !ordered {
         eprintln!("table1: steady-state SynPF load is not below Cartographer's");
         std::process::exit(1);
+    }
+}
+
+/// The HQ→LQ change of `metric` in percent, or `None` when either cell
+/// timed no lap: a car that crashed before its first timed lap reports
+/// zeros, which are not a measurement.
+fn hq_to_lq_pct(hq: &CellResult, lq: &CellResult, metric: fn(&CellResult) -> f64) -> Option<f64> {
+    (hq.laps > 0 && lq.laps > 0).then(|| 100.0 * (metric(lq) / metric(hq) - 1.0))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use raceloc_core::Summary;
+
+    fn cell(laps: usize, lateral_cm: f64) -> CellResult {
+        CellResult {
+            method: "Cartographer".into(),
+            odom: "HQ".into(),
+            lap_time: Summary::default(),
+            lateral_error_cm: Summary {
+                mean: lateral_cm,
+                ..Summary::default()
+            },
+            scan_align_pct: 0.0,
+            load_pct: 0.0,
+            correct_ms: 0.0,
+            laps,
+            crashed: laps == 0,
+            est_error_cm: Summary::default(),
+        }
+    }
+
+    #[test]
+    fn delta_of_two_timed_cells_is_the_relative_change() {
+        let pct = hq_to_lq_pct(&cell(10, 8.0), &cell(10, 10.0), |r| r.lateral_error_cm.mean);
+        assert!((pct.expect("both cells timed laps") - 25.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_cell_without_timed_laps_has_no_delta() {
+        let metric = |r: &CellResult| r.lateral_error_cm.mean;
+        // The crashed LQ cell reports zeros: not "-100 %".
+        assert_eq!(hq_to_lq_pct(&cell(10, 8.0), &cell(0, 0.0), metric), None);
+        assert_eq!(hq_to_lq_pct(&cell(0, 0.0), &cell(10, 8.0), metric), None);
     }
 }

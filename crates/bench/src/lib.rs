@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 //! Shared experiment infrastructure for the paper-reproduction harness.

@@ -8,7 +8,7 @@
 //! per-range-tier unit cost, calibrated once against the BENCH_pipeline
 //! step-latency medians — never in wall-clock time, so the rung sequence
 //! (and therefore every pose) is bit-identical for any worker-thread
-//! count (analyze rule R3).
+//! count (rule R3).
 //!
 //! The ladder has six rungs. Each trades accuracy for work along three
 //! axes — particle-count ceiling (realized through the KLD resampler),

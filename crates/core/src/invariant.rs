@@ -1,9 +1,10 @@
 //! Runtime invariants for the numeric kernels — the dynamic half of the
-//! correctness story whose static half is the `raceloc-analyze` pass.
+//! correctness story whose static half is the workspace lint wall
+//! (DESIGN.md §10).
 //!
-//! The static pass proves the hot paths cannot *panic by accident*
-//! (no `unwrap`, no `partial_cmp(..).expect`); this module lets them
-//! *assert on purpose* in debug builds. [`debug_invariant!`] is the
+//! Clippy's forbid list keeps the hot paths from *panicking by accident*
+//! (no `unwrap`, `expect` or `panic!`, no `partial_cmp`); this module lets
+//! them *assert on purpose* in debug builds. [`debug_invariant!`] is the
 //! project-wide assertion macro: it documents a numeric contract at the
 //! point where it must hold (particle weights normalized, ranges within
 //! the sensor envelope, optimized poses finite) and vanishes entirely from
@@ -12,8 +13,8 @@
 //!
 //! Call sites use `debug_invariant!` rather than `debug_assert!` so that
 //! (a) the failure message carries the module path and a project-standard
-//! prefix greppable in CI logs, and (b) the static pass can whitelist the
-//! macro by name while still banning bare `panic!` in the same crates.
+//! prefix greppable in CI logs, and (b) a bare `panic!` stays banned in
+//! the same crates.
 //!
 //! # Examples
 //!

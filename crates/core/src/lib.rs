@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 //! Core primitives shared by every crate in the `raceloc` workspace.

@@ -6,6 +6,8 @@
 //! experiment runs on every platform, which is what makes the paper
 //! reproduction harness deterministic.
 
+use crate::stream_keys::StreamKey;
+
 /// A deterministic xoshiro256\*\* pseudo-random generator.
 ///
 /// # Examples
@@ -40,14 +42,16 @@ impl Rng64 {
         Self { s }
     }
 
-    /// Creates the `stream`-th counter-derived generator for a seed.
+    /// Creates the counter-derived generator of stream `key` for a seed.
     ///
     /// Unlike [`Rng64::fork`], which advances the parent generator, this is
-    /// a pure function of `(seed, stream)` — the basis for deterministic
+    /// a pure function of `(seed, key)` — the basis for deterministic
     /// parallel sampling: each chunk of a batch draws from
-    /// `Rng64::stream(seed, chunk_index)`, so the noise applied to any item
-    /// depends only on the chunk layout, never on which worker thread runs
-    /// the chunk or in what order.
+    /// `Rng64::stream(seed, stream_keys::pf_motion(epoch, chunk))`, so the
+    /// noise applied to any item depends only on the chunk layout, never on
+    /// which worker thread runs the chunk or in what order. Keys come only
+    /// from the [`stream_keys`](crate::stream_keys) registry, whose regions
+    /// are proven disjoint at compile time.
     ///
     /// The stream index is diffused with an odd 64-bit constant (the
     /// golden-ratio multiplier already used by SplitMix64) before being
@@ -57,16 +61,18 @@ impl Rng64 {
     /// # Examples
     ///
     /// ```
-    /// use raceloc_core::Rng64;
-    /// let mut a = Rng64::stream(7, 0);
-    /// let mut b = Rng64::stream(7, 1);
+    /// use raceloc_core::{stream_keys, Rng64};
+    /// let mut a = Rng64::stream(7, stream_keys::bench_driver(0));
+    /// let mut b = Rng64::stream(7, stream_keys::bench_driver(1));
     /// assert_ne!(a.next_u64(), b.next_u64());
     /// // Pure: reconstructing the stream replays it exactly.
-    /// assert_eq!(Rng64::stream(7, 0).next_u64(), Rng64::stream(7, 0).next_u64());
+    /// let key = stream_keys::bench_driver(0);
+    /// assert_eq!(Rng64::stream(7, key).next_u64(), Rng64::stream(7, key).next_u64());
     /// ```
-    pub fn stream(seed: u64, stream: u64) -> Self {
+    pub fn stream(seed: u64, key: StreamKey) -> Self {
         // `stream + 1` so stream 0 still perturbs the seed, keeping
         // `stream(seed, 0)` distinct from `new(seed)` callers elsewhere.
+        let stream = key.get();
         Self::new(seed ^ (stream.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
@@ -306,6 +312,7 @@ fn zig_tables() -> &'static ZigTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream_keys;
 
     #[test]
     fn deterministic_across_instances() {
@@ -402,7 +409,12 @@ mod tests {
 
     #[test]
     fn stream_is_a_pure_function_of_seed_and_index() {
-        for stream in [0u64, 1, 17, u64::MAX] {
+        for stream in [
+            stream_keys::bench_driver(0),
+            stream_keys::bench_driver(1),
+            stream_keys::bench_driver(17),
+            stream_keys::eval_world_cell(0xFFFF, 0xFF, 0xFF, u32::MAX),
+        ] {
             let mut a = Rng64::stream(42, stream);
             let mut b = Rng64::stream(42, stream);
             for _ in 0..32 {
@@ -413,8 +425,8 @@ mod tests {
 
     #[test]
     fn stream_indices_are_decorrelated() {
-        let mut a = Rng64::stream(42, 0);
-        let mut b = Rng64::stream(42, 1);
+        let mut a = Rng64::stream(42, stream_keys::bench_driver(0));
+        let mut b = Rng64::stream(42, stream_keys::bench_driver(1));
         let matches = (0..1000)
             .filter(|_| (a.uniform() - b.uniform()).abs() < 1e-3)
             .count();
@@ -423,7 +435,10 @@ mod tests {
 
     #[test]
     fn stream_zero_differs_from_plain_seeding() {
-        assert_ne!(Rng64::stream(42, 0), Rng64::new(42));
+        assert_ne!(
+            Rng64::stream(42, stream_keys::bench_driver(0)),
+            Rng64::new(42)
+        );
     }
 
     #[test]

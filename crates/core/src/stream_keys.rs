@@ -1,5 +1,5 @@
 //! Central registry of [`Rng64::stream`](crate::Rng64::stream) key
-//! namespaces (analyzer rule **R7**).
+//! namespaces (rule **R7**, DESIGN.md §10).
 //!
 //! Every counter-derived RNG stream in the workspace keys its draws with a
 //! 64-bit stream index. Two subsystems that ever share a seed **must not**
@@ -7,12 +7,11 @@
 //! which would invalidate every paired comparison the fleet engine makes.
 //! Before this module, the key layouts were hand-maintained conventions
 //! scattered across four crates; now each namespace is declared here once,
-//! with its seed *domain* and the half-open region of key space it owns,
-//! and pairwise disjointness inside a domain is proven at compile time
-//! (see the `const` assertion below) and re-checked structurally by
-//! `raceloc-analyze` (rule R7, which also requires every
-//! `Rng64::stream(seed, key)` call site workspace-wide to construct `key`
-//! through one of the constructors in this module).
+//! with its seed *domain* and the region of key space it owns, and
+//! pairwise disjointness inside a domain is proven at compile time (see
+//! the `const` assertion below). `Rng64::stream` takes a [`StreamKey`],
+//! and the constructors in this module are the only way to make one, so
+//! an unregistered key does not compile.
 //!
 //! # Domains
 //!
@@ -43,12 +42,25 @@
 //!        └──────────────────────────────────────────────┘
 //! ```
 
+/// A registered RNG stream key, the second argument of
+/// [`Rng64::stream`](crate::Rng64::stream). Only the constructors of this
+/// module make one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamKey(u64);
+
+impl StreamKey {
+    /// The raw 64-bit key.
+    #[inline]
+    pub const fn get(self) -> u64 {
+        self.0
+    }
+}
+
 /// One registered stream-key namespace: who owns which region of the
 /// 64-bit key space, under which seed domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamNamespace {
-    /// Registry name; must match the constructor function below and is
-    /// what analyzer rule R7 resolves call sites against.
+    /// Registry name; matches the constructor function below.
     pub name: &'static str,
     /// Seed domain the namespace keys under (disjointness is proven
     /// pairwise within a domain).
@@ -61,9 +73,7 @@ pub struct StreamNamespace {
     pub hi: u64,
 }
 
-/// The workspace's registered namespaces. Keep entries literal: the
-/// analyzer parses this table structurally (it cannot evaluate Rust), so
-/// `lo`/`hi` must be plain integer literals.
+/// The workspace's registered namespaces.
 pub const REGISTRY: [StreamNamespace; 6] = [
     StreamNamespace {
         name: "pf_motion",
@@ -161,51 +171,56 @@ const _: () = assert!(
 /// prediction, so always ≥ 1) and `chunk` the chunk index in the static
 /// layout. 24 epoch bits cover ~4.8 days of 40 Hz stepping.
 #[inline]
-pub const fn pf_motion(epoch: u64, chunk: u64) -> u64 {
+pub const fn pf_motion(epoch: u64, chunk: u64) -> StreamKey {
     debug_assert!(
         epoch >= 1 && epoch < (1 << 24),
         "pf_motion epoch out of range"
     );
     debug_assert!(chunk < (1 << 32), "pf_motion chunk out of range");
-    ((epoch & 0x00FF_FFFF) << 32) | (chunk & 0xFFFF_FFFF)
+    StreamKey(((epoch & 0x00FF_FFFF) << 32) | (chunk & 0xFFFF_FFFF))
 }
 
 /// Key of the per-step fault-injection scan draw: `0xFA << 56 | step`.
 #[inline]
-pub const fn fault_scan(step: u64) -> u64 {
+pub const fn fault_scan(step: u64) -> StreamKey {
     debug_assert!(step < (1 << 56), "fault_scan step out of range");
-    0xFA00_0000_0000_0000 | (step & 0x00FF_FFFF_FFFF_FFFF)
+    StreamKey(0xFA00_0000_0000_0000 | (step & 0x00FF_FFFF_FFFF_FFFF))
 }
 
 /// Key of the eval runner's filter-seed derivation draw (a single
 /// reserved point, so filter noise and world noise are independent
 /// streams of the same world seed).
 #[inline]
-pub const fn eval_filter() -> u64 {
-    0xF1
+pub const fn eval_filter() -> StreamKey {
+    StreamKey(0xF1)
 }
 
 /// Key of one fleet cell's world-seed draw under the spec's master seed:
 /// `map:16 | grip:8 | scenario:8 | replicate:32`.
 #[inline]
-pub const fn eval_world_cell(map: u64, grip: u64, scenario: u64, replicate: u32) -> u64 {
-    ((map & 0xFFFF) << 48) | ((grip & 0xFF) << 40) | ((scenario & 0xFF) << 32) | replicate as u64
+pub const fn eval_world_cell(map: u64, grip: u64, scenario: u64, replicate: u32) -> StreamKey {
+    StreamKey(
+        ((map & 0xFFFF) << 48)
+            | ((grip & 0xFF) << 40)
+            | ((scenario & 0xFF) << 32)
+            | replicate as u64,
+    )
 }
 
 /// Key of one serve session's seed draw under the engine seed (the raw
 /// session id; ids are engine-assigned and sequential).
 #[inline]
-pub const fn serve_session(id: u64) -> u64 {
+pub const fn serve_session(id: u64) -> StreamKey {
     debug_assert!(id <= 0xFFFF_FFFF, "serve_session id out of range");
-    id & 0xFFFF_FFFF
+    StreamKey(id & 0xFFFF_FFFF)
 }
 
 /// Key of a bench/test traffic driver's per-actor input stream (seeded
 /// with a constant driver seed, never a run seed).
 #[inline]
-pub const fn bench_driver(actor: u64) -> u64 {
+pub const fn bench_driver(actor: u64) -> StreamKey {
     debug_assert!(actor <= 0xFFFF_FFFF, "bench_driver actor out of range");
-    actor & 0xFFFF_FFFF
+    StreamKey(actor & 0xFFFF_FFFF)
 }
 
 #[cfg(test)]
@@ -227,23 +242,23 @@ mod tests {
             (40_000, 15),
             ((1 << 24) - 1, u32::MAX as u64),
         ] {
-            assert_eq!(pf_motion(epoch, chunk), (epoch << 32) | chunk);
+            assert_eq!(pf_motion(epoch, chunk).get(), (epoch << 32) | chunk);
         }
         for step in [0u64, 1, 49, (1 << 56) - 1] {
-            assert_eq!(fault_scan(step), (0xFA << 56) | step);
+            assert_eq!(fault_scan(step).get(), (0xFA << 56) | step);
         }
-        assert_eq!(eval_filter(), 0xF1);
+        assert_eq!(eval_filter().get(), 0xF1);
         for (m, g, s, r) in [
             (0u64, 0u64, 0u64, 0u32),
             (1, 1, 2, 19),
             (65_535, 255, 255, u32::MAX),
         ] {
             let legacy = ((m & 0xFFFF) << 48) | ((g & 0xFF) << 40) | ((s & 0xFF) << 32) | r as u64;
-            assert_eq!(eval_world_cell(m, g, s, r), legacy);
+            assert_eq!(eval_world_cell(m, g, s, r).get(), legacy);
         }
         for id in [0u64, 3, 255, u32::MAX as u64] {
-            assert_eq!(serve_session(id), id);
-            assert_eq!(bench_driver(id), id);
+            assert_eq!(serve_session(id).get(), id);
+            assert_eq!(bench_driver(id).get(), id);
         }
     }
 
@@ -263,28 +278,28 @@ mod tests {
                 "{name}: key {key:#x} outside [{lo:#x}, {hi:#x}]"
             );
         };
-        check("pf_motion", pf_motion(1, 0));
-        check("pf_motion", pf_motion((1 << 24) - 1, u32::MAX as u64));
-        check("fault_scan", fault_scan(0));
-        check("fault_scan", fault_scan((1 << 56) - 1));
-        check("eval_filter", eval_filter());
+        check("pf_motion", pf_motion(1, 0).get());
+        check("pf_motion", pf_motion((1 << 24) - 1, u32::MAX as u64).get());
+        check("fault_scan", fault_scan(0).get());
+        check("fault_scan", fault_scan((1 << 56) - 1).get());
+        check("eval_filter", eval_filter().get());
         check(
             "eval_world_cell",
-            eval_world_cell(65_535, 255, 255, u32::MAX),
+            eval_world_cell(65_535, 255, 255, u32::MAX).get(),
         );
-        check("serve_session", serve_session(u32::MAX as u64));
-        check("bench_driver", bench_driver(u32::MAX as u64));
+        check("serve_session", serve_session(u32::MAX as u64).get());
+        check("bench_driver", bench_driver(u32::MAX as u64).get());
     }
 
     #[test]
     fn run_domain_namespaces_are_pairwise_disjoint_by_construction() {
         // The three namespaces that can share a seed lineage: a pf_motion
         // key can never equal a fault_scan or eval_filter key.
-        let motion = pf_motion(1, 0)..=pf_motion((1 << 24) - 1, u32::MAX as u64);
-        assert!(!motion.contains(&fault_scan(0)));
-        assert!(!motion.contains(&eval_filter()));
-        assert!(fault_scan(0) > *motion.end());
-        assert!(eval_filter() < *motion.start());
+        let motion = pf_motion(1, 0).get()..=pf_motion((1 << 24) - 1, u32::MAX as u64).get();
+        assert!(!motion.contains(&fault_scan(0).get()));
+        assert!(!motion.contains(&eval_filter().get()));
+        assert!(fault_scan(0).get() > *motion.end());
+        assert!(eval_filter().get() < *motion.start());
     }
 
     #[test]

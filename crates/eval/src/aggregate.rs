@@ -17,7 +17,7 @@
 
 use raceloc_core::deadline::LADDER_LEN;
 use raceloc_metrics::wilson95;
-use raceloc_obs::{CounterRollup, Histogram, Json};
+use raceloc_obs::{names, CounterRollup, Histogram, Json};
 
 use crate::cache::intern_counter;
 use crate::runner::RunOutcome;
@@ -133,12 +133,15 @@ impl CellAggregator {
         // the filter books misses, coasts and rung occupancy, the runner
         // books `deadline.final_rung`. A run without a controller books
         // none of them.
+        const MISS: &str = names::DEADLINE_MISS.as_str();
+        const COAST_STEPS: &str = names::DEADLINE_COAST_STEPS.as_str();
+        const FINAL_RUNG: &str = names::DEADLINE_FINAL_RUNG.as_str();
         for &(name, v) in &out.counters {
             let ladder = &mut self.ladder;
             match name {
-                "deadline.miss" => ladder.misses += v,
-                "deadline.coast_steps" => ladder.coast_steps += v,
-                "deadline.final_rung" => {
+                MISS => ladder.misses += v,
+                COAST_STEPS => ladder.coast_steps += v,
+                FINAL_RUNG => {
                     self.controlled = true;
                     if let Some(slot) = ladder.final_rungs.get_mut(v as usize) {
                         *slot += 1;

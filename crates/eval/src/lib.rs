@@ -1,5 +1,12 @@
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 //! **raceloc-eval** — deterministic Monte-Carlo fleet evaluation.
 //!

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use raceloc_core::localizer::{DeadReckoning, Localizer};
 use raceloc_core::{stats, stream_keys, DeadlineConfig, Health, Rng64};
 use raceloc_map::Track;
-use raceloc_obs::{Json, Telemetry};
+use raceloc_obs::{names, Json, Telemetry};
 use raceloc_par::{FnJob, WorkerPool};
 use raceloc_pf::{HealthPolicy, KldConfig, RecoveryConfig, SynPf, SynPfConfig};
 use raceloc_range::{ArtifactParams, ArtifactStore, MapArtifacts};
@@ -312,7 +312,7 @@ impl Member {
                 // Where the ladder settled when the run ended — lets the
                 // report distinguish "degraded and recovered" from "pinned
                 // at the bottom rung".
-                tel.add("deadline.final_rung", ctl.rung() as u64);
+                tel.add(names::DEADLINE_FINAL_RUNG, ctl.rung() as u64);
             }
         }
     }
@@ -405,9 +405,7 @@ pub fn execute_group(spec: &FleetSpec, descs: &[RunDesc], ctx: &FleetCtx) -> Vec
     let world_snap = world_tel.snapshot();
     for ((slot, tel, member), log) in members.iter().zip(&logs) {
         member.finish(tel);
-        for (name, value) in world_snap.counters() {
-            tel.add(name, value);
-        }
+        tel.add_counters(&world_snap);
         if let (Some(out), Some(&desc)) = (outcomes.get_mut(*slot), descs.get(*slot)) {
             *out = reduce(spec, desc, res, scenario.measure_from, tel, log);
         }
@@ -473,16 +471,16 @@ fn reduce(
     let success = finite && !log.crashed && mean_lat_err_cm <= spec.success_lat_cm;
     // Fleet-level event counters (deterministic — no wall clock): these
     // roll up next to whatever the localizer and fault tracker recorded.
-    tel.add("eval.runs", 1);
-    tel.add("eval.steps", n as u64);
+    tel.add(names::EVAL_RUNS, 1);
+    tel.add(names::EVAL_STEPS, n as u64);
     if log.crashed {
-        tel.add("eval.crashes", 1);
+        tel.add(names::EVAL_CRASHES, 1);
     }
     if !finite {
-        tel.add("eval.nonfinite", 1);
+        tel.add(names::EVAL_NONFINITE, 1);
     }
     if success {
-        tel.add("eval.successes", 1);
+        tel.add(names::EVAL_SUCCESSES, 1);
     }
     let snap = tel.snapshot();
     let mut counters: Vec<(&'static str, u64)> = snap.counters().collect();
@@ -555,9 +553,9 @@ impl FleetRunStats {
     /// Books the invocation's provenance counters into a telemetry handle
     /// under the cataloged `eval.cache.*` names.
     pub fn publish(&self, tel: &Telemetry) {
-        tel.add("eval.cache.hits", self.cache_hits);
-        tel.add("eval.cache.misses", self.executed_cells);
-        tel.add("eval.cache.stores", self.cache_stores);
+        tel.add(names::EVAL_CACHE_HITS, self.cache_hits);
+        tel.add(names::EVAL_CACHE_MISSES, self.executed_cells);
+        tel.add(names::EVAL_CACHE_STORES, self.cache_stores);
     }
 
     /// Serializes the stats (stable key order).
@@ -843,7 +841,7 @@ mod tests {
         assert!(alone.iter().all(|o| o
             .counters
             .iter()
-            .any(|&(name, v)| name == "faults.lidar_blackout.steps" && v == 4)));
+            .any(|&(name, v)| name == names::FAULTS_LIDAR_BLACKOUT_STEPS.as_str() && v == 4)));
         assert_eq!(execute_group(&spec, &runs, &ctx), alone);
 
         // A descriptor on another trajectory cannot join the group; the

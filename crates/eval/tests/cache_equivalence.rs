@@ -80,10 +80,19 @@ fn cached_opts(dir: &Path) -> FleetRunOptions {
 
 #[test]
 fn cold_then_warm_runs_are_byte_identical_and_warm_is_all_hits() {
-    let spec = micro_spec();
+    // Every localizer and a capped budget, so each key dimension is covered
+    // and every trajectory family holds more than one cell.
+    let mut spec = micro_spec();
+    spec.budgets = vec![0, 10_000];
+    spec.methods = vec![
+        EvalMethod::SynPf,
+        EvalMethod::Cartographer,
+        EvalMethod::DeadReckoning,
+    ];
     let dir = temp_dir("cold-warm");
     let opts = cached_opts(&dir);
     let cells = spec.cells().len() as u64;
+    assert_eq!(cells, 24);
 
     let (cold_report, cold_stats) = run_fleet_with(&spec, &opts).expect("cold run");
     assert_eq!(cold_stats.cache_hits, 0);
@@ -94,6 +103,7 @@ fn cold_then_warm_runs_are_byte_identical_and_warm_is_all_hits() {
     assert_eq!(warm_stats.cache_hits, cells, "unchanged spec = 100% hits");
     assert_eq!(warm_stats.executed_cells, 0);
     assert_eq!(warm_stats.executed_runs, 0);
+    assert_eq!(warm_stats.cache_stores, 0, "cache keys must be stable");
 
     let cold = format!("{}", cold_report.to_json());
     let warm = format!("{}", warm_report.to_json());

@@ -5,6 +5,7 @@
 
 use raceloc_eval::{run_fleet, EvalMethod, FleetSpec, GripSpec, MapSpec, ScenarioSpec};
 use raceloc_faults::FaultSchedule;
+use raceloc_obs::names;
 
 fn small_spec() -> FleetSpec {
     FleetSpec {
@@ -80,7 +81,7 @@ fn report_covers_every_cell_with_every_replicate() {
     }
     // The counter rollup saw every run.
     assert_eq!(
-        report.counters.total("eval.runs"),
+        report.counters.total(names::EVAL_RUNS.as_str()),
         Some(report.total_runs),
         "eval.runs rollup"
     );

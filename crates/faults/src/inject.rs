@@ -156,6 +156,7 @@ impl FaultTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raceloc_obs::names;
 
     #[test]
     fn blackout_invalidates_every_beam() {
@@ -229,9 +230,21 @@ mod tests {
             tracker.record(&s, step, &tel);
         }
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("faults.lidar_blackout.activations"), Some(1));
-        assert_eq!(snap.counter("faults.lidar_blackout.steps"), Some(3));
-        assert_eq!(snap.counter("faults.odom_slip.activations"), Some(1));
-        assert_eq!(snap.counter("faults.odom_slip.steps"), Some(1));
+        assert_eq!(
+            snap.counter(names::FAULTS_LIDAR_BLACKOUT_ACTIVATIONS.as_str()),
+            Some(1)
+        );
+        assert_eq!(
+            snap.counter(names::FAULTS_LIDAR_BLACKOUT_STEPS.as_str()),
+            Some(3)
+        );
+        assert_eq!(
+            snap.counter(names::FAULTS_ODOM_SLIP_ACTIVATIONS.as_str()),
+            Some(1)
+        );
+        assert_eq!(
+            snap.counter(names::FAULTS_ODOM_SLIP_STEPS.as_str()),
+            Some(1)
+        );
     }
 }

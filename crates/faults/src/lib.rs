@@ -1,5 +1,12 @@
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 //! Deterministic fault injection for the raceloc closed loop.
 //!
@@ -204,7 +211,7 @@ impl FaultSchedule {
         // The key comes from the central namespace registry: the 0xFA tag
         // statically proves this stream can never collide with the pf
         // motion streams or the eval filter-seed draw, even when the
-        // schedule shares a seed with them (analyzer rule R7).
+        // schedule shares a seed with them (rule R7).
         Rng64::stream(seed, stream_keys::fault_scan(step))
     }
 

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use raceloc_obs::Json;
+use raceloc_obs::{names, CounterName, Json};
 
 use crate::FaultSchedule;
 
@@ -155,34 +155,34 @@ impl FaultKind {
     }
 
     /// Telemetry counter bumped once per rising edge of the fault.
-    pub fn activation_counter(&self) -> &'static str {
+    pub fn activation_counter(&self) -> CounterName {
         match self {
-            FaultKind::LidarBlackout => "faults.lidar_blackout.activations",
-            FaultKind::BeamDropout { .. } => "faults.beam_dropout.activations",
-            FaultKind::RangeBias { .. } => "faults.range_bias.activations",
-            FaultKind::RangeScale { .. } => "faults.range_scale.activations",
-            FaultKind::OdomSlip { .. } => "faults.odom_slip.activations",
-            FaultKind::StuckEncoder => "faults.stuck_encoder.activations",
-            FaultKind::Latency { .. } => "faults.latency.activations",
-            FaultKind::PoseKidnap { .. } => "faults.pose_kidnap.activations",
-            FaultKind::MapCorruption { .. } => "faults.map_corruption.activations",
-            FaultKind::ComputePressure { .. } => "faults.compute_pressure.activations",
+            FaultKind::LidarBlackout => names::FAULTS_LIDAR_BLACKOUT_ACTIVATIONS,
+            FaultKind::BeamDropout { .. } => names::FAULTS_BEAM_DROPOUT_ACTIVATIONS,
+            FaultKind::RangeBias { .. } => names::FAULTS_RANGE_BIAS_ACTIVATIONS,
+            FaultKind::RangeScale { .. } => names::FAULTS_RANGE_SCALE_ACTIVATIONS,
+            FaultKind::OdomSlip { .. } => names::FAULTS_ODOM_SLIP_ACTIVATIONS,
+            FaultKind::StuckEncoder => names::FAULTS_STUCK_ENCODER_ACTIVATIONS,
+            FaultKind::Latency { .. } => names::FAULTS_LATENCY_ACTIVATIONS,
+            FaultKind::PoseKidnap { .. } => names::FAULTS_POSE_KIDNAP_ACTIVATIONS,
+            FaultKind::MapCorruption { .. } => names::FAULTS_MAP_CORRUPTION_ACTIVATIONS,
+            FaultKind::ComputePressure { .. } => names::FAULTS_COMPUTE_PRESSURE_ACTIVATIONS,
         }
     }
 
     /// Telemetry counter bumped on every step the fault is active.
-    pub fn step_counter(&self) -> &'static str {
+    pub fn step_counter(&self) -> CounterName {
         match self {
-            FaultKind::LidarBlackout => "faults.lidar_blackout.steps",
-            FaultKind::BeamDropout { .. } => "faults.beam_dropout.steps",
-            FaultKind::RangeBias { .. } => "faults.range_bias.steps",
-            FaultKind::RangeScale { .. } => "faults.range_scale.steps",
-            FaultKind::OdomSlip { .. } => "faults.odom_slip.steps",
-            FaultKind::StuckEncoder => "faults.stuck_encoder.steps",
-            FaultKind::Latency { .. } => "faults.latency.steps",
-            FaultKind::PoseKidnap { .. } => "faults.pose_kidnap.steps",
-            FaultKind::MapCorruption { .. } => "faults.map_corruption.steps",
-            FaultKind::ComputePressure { .. } => "faults.compute_pressure.steps",
+            FaultKind::LidarBlackout => names::FAULTS_LIDAR_BLACKOUT_STEPS,
+            FaultKind::BeamDropout { .. } => names::FAULTS_BEAM_DROPOUT_STEPS,
+            FaultKind::RangeBias { .. } => names::FAULTS_RANGE_BIAS_STEPS,
+            FaultKind::RangeScale { .. } => names::FAULTS_RANGE_SCALE_STEPS,
+            FaultKind::OdomSlip { .. } => names::FAULTS_ODOM_SLIP_STEPS,
+            FaultKind::StuckEncoder => names::FAULTS_STUCK_ENCODER_STEPS,
+            FaultKind::Latency { .. } => names::FAULTS_LATENCY_STEPS,
+            FaultKind::PoseKidnap { .. } => names::FAULTS_POSE_KIDNAP_STEPS,
+            FaultKind::MapCorruption { .. } => names::FAULTS_MAP_CORRUPTION_STEPS,
+            FaultKind::ComputePressure { .. } => names::FAULTS_COMPUTE_PRESSURE_STEPS,
         }
     }
 }
@@ -507,8 +507,8 @@ mod tests {
             FaultKind::ComputePressure { factor: 0.5 },
         ];
         for k in kinds {
-            assert!(k.activation_counter().contains(k.name()));
-            assert!(k.step_counter().contains(k.name()));
+            assert!(k.activation_counter().as_str().contains(k.name()));
+            assert!(k.step_counter().as_str().contains(k.name()));
         }
     }
 

@@ -18,6 +18,10 @@ pub enum CellState {
 
 /// An integer cell coordinate `(col, row)` into an [`OccupancyGrid`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the derived partial_cmp orders integer coordinates, which is total"
+)]
 pub struct GridIndex {
     /// Column (x direction).
     pub col: i64,

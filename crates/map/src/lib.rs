@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 //! Occupancy-grid maps, distance transforms, and race-track generation.

@@ -1,6 +1,7 @@
 //! Compute-time summaries and the CPU-load proxy of Table I.
 
 use raceloc_core::{RunningStats, Summary};
+use raceloc_obs::names;
 
 /// Summarizes a series of per-call wall-clock durations (seconds).
 pub fn latency_summary(durations_s: &[f64]) -> Summary {
@@ -53,10 +54,10 @@ pub fn snapshot_load_percent(
     odom_hz: f64,
 ) -> Option<f64> {
     let correct = snap
-        .span("sim.correct")
+        .span(names::SIM_CORRECT.as_str())
         .map(|s| span_load_percent(s, lidar_hz));
     let predict = snap
-        .span("sim.predict")
+        .span(names::SIM_PREDICT.as_str())
         .map(|s| span_load_percent(s, odom_hz));
     match (correct, predict) {
         (None, None) => None,
@@ -98,8 +99,8 @@ mod tests {
     #[test]
     fn snapshot_load_matches_recorded_spans() {
         let tel = raceloc_obs::Telemetry::enabled();
-        tel.record_span("sim.correct", 1.25e-3);
-        tel.record_span("sim.predict", 0.5e-3);
+        tel.record_span(names::SIM_CORRECT, 1.25e-3);
+        tel.record_span(names::SIM_PREDICT, 0.5e-3);
         let snap = tel.snapshot();
         // 1.25 ms at 40 Hz (5%) + 0.5 ms at 50 Hz (2.5%).
         let load = snapshot_load_percent(&snap, 40.0, 50.0).expect("spans present");

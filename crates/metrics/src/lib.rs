@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 //! Evaluation metrics for racing localization — the proxy measurements of

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 //! **raceloc-obs** — the observability layer of the raceloc workspace.
@@ -13,7 +12,8 @@
 //!   fixed-bucket latency [histograms](Histogram). A disabled handle
 //!   (the default) costs one branch per call, so instrumented hot paths
 //!   (`SynPf::correct`, the SLAM matchers, `World` stepping, batch ray
-//!   casting) stay within the paper's latency budget.
+//!   casting) stay within the paper's latency budget. Every name it
+//!   records is declared in [`names`].
 //! - [`RunRecorder`] — streams one JSONL record per closed-loop correction
 //!   step (ground truth, estimate, per-stage timings, filter
 //!   [`Diagnostics`](raceloc_core::Diagnostics)) to any writer, so runs are
@@ -25,27 +25,29 @@
 //! # Examples
 //!
 //! ```
-//! use raceloc_obs::Telemetry;
+//! use raceloc_obs::{names, Telemetry};
 //!
 //! let tel = Telemetry::enabled();
 //! {
-//!     let _outer = tel.span("correct");
-//!     let _inner = tel.span("correct.raycast");
+//!     let _outer = tel.span(names::PF_CORRECT);
+//!     let _inner = tel.span(names::PF_CAST_WEIGHT);
 //! } // both spans record on drop
-//! tel.add("scans", 1);
+//! tel.add(names::RANGE_QUERIES, 1);
 //! let snap = tel.snapshot();
-//! assert_eq!(snap.span("correct").unwrap().count, 1);
-//! assert_eq!(snap.counter("scans"), Some(1));
+//! assert_eq!(snap.span(names::PF_CORRECT.as_str()).unwrap().count, 1);
+//! assert_eq!(snap.counter(names::RANGE_QUERIES.as_str()), Some(1));
 //! ```
 
 pub mod hist;
 pub mod json;
+pub mod names;
 pub mod recorder;
 pub mod telemetry;
 pub mod time;
 
 pub use hist::Histogram;
 pub use json::{Json, JsonError};
+pub use names::{CounterName, SpanName};
 pub use recorder::{parse_steps, RunRecorder, SharedBuffer, StepRecord};
 pub use telemetry::{CounterRollup, Snapshot, Span, SpanStat, Telemetry};
 pub use time::Stopwatch;

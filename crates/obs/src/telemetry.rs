@@ -17,9 +17,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use crate::hist::Histogram;
+use crate::names::{CounterName, SpanName};
+use crate::Stopwatch;
 
 /// Aggregate statistics for one named span.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,33 +114,44 @@ impl Telemetry {
     /// Starts a monotonic span timer; the duration is recorded when the
     /// returned guard drops. On a disabled handle the guard is inert.
     #[must_use = "the span records its duration when dropped"]
-    pub fn span(&self, name: &'static str) -> Span {
+    pub fn span(&self, name: SpanName) -> Span {
         Span {
             registry: self.0.clone(),
-            name,
-            start: Instant::now(),
+            name: name.0,
+            start: Stopwatch::start(),
         }
     }
 
     /// Runs `f` inside a span — convenient when the timed region is an
     /// expression rather than a scope.
-    pub fn time<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
+    pub fn time<T>(&self, name: SpanName, f: impl FnOnce() -> T) -> T {
         let _guard = self.span(name);
         f()
     }
 
     /// Records an externally measured duration under `name`, merging into
     /// the same statistics a [`Span`] would.
-    pub fn record_span(&self, name: &'static str, seconds: f64) {
+    pub fn record_span(&self, name: SpanName, seconds: f64) {
         if let Some(reg) = &self.0 {
-            reg.lock().unwrap().record_span(name, seconds);
+            reg.lock().unwrap().record_span(name.0, seconds);
         }
     }
 
     /// Increments the counter `name` by `delta`.
-    pub fn add(&self, name: &'static str, delta: u64) {
+    pub fn add(&self, name: CounterName, delta: u64) {
         if let Some(reg) = &self.0 {
-            *reg.lock().unwrap().counters.entry(name).or_insert(0) += delta;
+            *reg.lock().unwrap().counters.entry(name.0).or_insert(0) += delta;
+        }
+    }
+
+    /// Adds every counter of `snap` into this handle's counters (spans and
+    /// histograms are left out).
+    pub fn add_counters(&self, snap: &Snapshot) {
+        if let Some(reg) = &self.0 {
+            let mut reg = reg.lock().unwrap();
+            for (name, value) in snap.counters() {
+                *reg.counters.entry(name).or_insert(0) += value;
+            }
         }
     }
 
@@ -177,20 +189,20 @@ impl Telemetry {
 pub struct Span {
     registry: Option<Arc<Mutex<Registry>>>,
     name: &'static str,
-    start: Instant,
+    start: Stopwatch,
 }
 
 impl Span {
     /// Seconds elapsed since the span started (the span keeps running).
     pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
+        self.start.elapsed_seconds()
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(reg) = &self.registry {
-            let seconds = self.start.elapsed().as_secs_f64();
+            let seconds = self.start.elapsed_seconds();
             reg.lock().unwrap().record_span(self.name, seconds);
         }
     }
@@ -266,15 +278,15 @@ impl Snapshot {
 /// # Examples
 ///
 /// ```
-/// use raceloc_obs::{CounterRollup, Telemetry};
+/// use raceloc_obs::{names, CounterRollup, Telemetry};
 ///
 /// let mut rollup = CounterRollup::new();
 /// for run in 0..3u64 {
 ///     let tel = Telemetry::enabled();
-///     tel.add("scans", 10 + run);
+///     tel.add(names::EVAL_STEPS, 10 + run);
 ///     rollup.absorb(&tel.snapshot());
 /// }
-/// assert_eq!(rollup.total("scans"), Some(33));
+/// assert_eq!(rollup.total(names::EVAL_STEPS.as_str()), Some(33));
 /// assert_eq!(rollup.snapshots(), 3);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -355,10 +367,10 @@ mod tests {
     fn disabled_handle_records_nothing() {
         let tel = Telemetry::disabled();
         {
-            let _s = tel.span("work");
+            let _s = tel.span(SpanName("work"));
         }
-        tel.add("n", 5);
-        tel.record_span("manual", 0.1);
+        tel.add(CounterName("n"), 5);
+        tel.record_span(SpanName("manual"), 0.1);
         let snap = tel.snapshot();
         assert!(snap.span("work").is_none());
         assert!(snap.counter("n").is_none());
@@ -374,7 +386,7 @@ mod tests {
     fn span_durations_are_monotone_and_aggregate() {
         let tel = Telemetry::enabled();
         for _ in 0..3 {
-            let s = tel.span("step");
+            let s = tel.span(SpanName("step"));
             assert!(s.elapsed_seconds() >= 0.0);
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
@@ -392,9 +404,9 @@ mod tests {
     fn nested_spans_record_independently() {
         let tel = Telemetry::enabled();
         {
-            let _outer = tel.span("outer");
+            let _outer = tel.span(SpanName("outer"));
             {
-                let _inner = tel.span("inner");
+                let _inner = tel.span(SpanName("inner"));
                 std::thread::sleep(std::time::Duration::from_micros(100));
             }
         }
@@ -410,8 +422,8 @@ mod tests {
     #[test]
     fn spans_feed_histograms() {
         let tel = Telemetry::enabled();
-        tel.record_span("stage", 1.5e-3);
-        tel.record_span("stage", 1.5e-3);
+        tel.record_span(SpanName("stage"), 1.5e-3);
+        tel.record_span(SpanName("stage"), 1.5e-3);
         let snap = tel.snapshot();
         let h = snap.histogram("stage").unwrap();
         assert_eq!(h.total(), 2);
@@ -422,8 +434,8 @@ mod tests {
     fn clones_share_a_registry() {
         let tel = Telemetry::enabled();
         let clone = tel.clone();
-        clone.add("shared", 2);
-        tel.add("shared", 3);
+        clone.add(CounterName("shared"), 2);
+        tel.add(CounterName("shared"), 3);
         assert_eq!(tel.snapshot().counter("shared"), Some(5));
     }
 
@@ -435,9 +447,9 @@ mod tests {
                 let tel = tel.clone();
                 scope.spawn(move || {
                     for _ in 0..100 {
-                        tel.add("hits", 1);
+                        tel.add(CounterName("hits"), 1);
                     }
-                    let _s = tel.span("worker");
+                    let _s = tel.span(SpanName("worker"));
                 });
             }
         });
@@ -447,9 +459,22 @@ mod tests {
     }
 
     #[test]
+    fn add_counters_merges_another_snapshot() {
+        let world = Telemetry::enabled();
+        world.add(CounterName("w"), 4);
+        world.record_span(SpanName("timed"), 0.5);
+        let tel = Telemetry::enabled();
+        tel.add(CounterName("w"), 1);
+        tel.add_counters(&world.snapshot());
+        let snap = tel.snapshot();
+        assert_eq!(snap.counter("w"), Some(5));
+        assert!(snap.span("timed").is_none(), "only counters merge");
+    }
+
+    #[test]
     fn reset_clears_but_stays_enabled() {
         let tel = Telemetry::enabled();
-        tel.add("n", 1);
+        tel.add(CounterName("n"), 1);
         tel.reset();
         assert!(tel.is_enabled());
         assert!(tel.snapshot().counter("n").is_none());
@@ -458,7 +483,7 @@ mod tests {
     #[test]
     fn time_wraps_a_closure() {
         let tel = Telemetry::enabled();
-        let v = tel.time("calc", || 21 * 2);
+        let v = tel.time(SpanName("calc"), || 21 * 2);
         assert_eq!(v, 42);
         assert_eq!(tel.snapshot().span("calc").unwrap().count, 1);
     }
@@ -466,9 +491,9 @@ mod tests {
     #[test]
     fn report_is_deterministic_and_named() {
         let tel = Telemetry::enabled();
-        tel.record_span("b.stage", 0.001);
-        tel.record_span("a.stage", 0.002);
-        tel.add("z.count", 7);
+        tel.record_span(SpanName("b.stage"), 0.001);
+        tel.record_span(SpanName("a.stage"), 0.002);
+        tel.add(CounterName("z.count"), 7);
         let report = tel.snapshot().report();
         let a = report.find("a.stage").unwrap();
         let b = report.find("b.stage").unwrap();
@@ -480,8 +505,8 @@ mod tests {
     fn rollup_accumulates_counters_only() {
         let mut rollup = CounterRollup::new();
         let tel = Telemetry::enabled();
-        tel.add("a", 2);
-        tel.record_span("timed", 0.5); // spans must not leak into the rollup
+        tel.add(CounterName("a"), 2);
+        tel.record_span(SpanName("timed"), 0.5); // spans must not leak into the rollup
         rollup.absorb(&tel.snapshot());
         rollup.absorb_counts(&[("a", 3), ("b", 1)]);
         assert_eq!(rollup.total("a"), Some(5));

@@ -1,12 +1,12 @@
-//! The workspace's single sanctioned gateway to the wall clock.
+//! The workspace's single gateway to the clock.
 //!
-//! The determinism rule **R3** enforced by `raceloc-analyze` bans direct
-//! `std::time::Instant` / `SystemTime` reads in the localization and
-//! simulation crates: estimator *behaviour* must be a pure function of its
-//! inputs and seed, never of how fast the host happens to run. Timing that
-//! exists purely to be *reported* (per-stage latency in diagnostics, span
-//! telemetry) funnels through [`Stopwatch`] instead, which keeps every
-//! clock read inside `raceloc-obs` where it is auditable.
+//! The workspace `clippy.toml` disallows `Instant::now` and `SystemTime`
+//! everywhere (determinism rule R3, DESIGN.md §10): estimator *behaviour*
+//! must be a pure function of its inputs and seed, never of how fast the
+//! host happens to run. Timing that exists purely to be *reported*
+//! (per-stage latency in diagnostics, span telemetry, bench tables)
+//! funnels through [`Stopwatch`] instead, whose one clock read is the only
+//! allowed one in the tree.
 //!
 //! # Examples
 //!
@@ -32,6 +32,10 @@ pub struct Stopwatch(Instant);
 impl Stopwatch {
     /// Starts a new stopwatch at the current monotonic instant.
     #[inline]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned clock read; the value is only ever reported"
+    )]
     pub fn start() -> Self {
         Self(Instant::now())
     }

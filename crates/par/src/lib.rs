@@ -1,5 +1,12 @@
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 //! Persistent deterministic worker pool for the localization hot path.
 //!
@@ -17,7 +24,7 @@
 //!    minimum chunk size — never on the worker count or the host's core
 //!    count. Since every chunk writes a disjoint output span and chunk
 //!    results are combined in chunk order, results are bit-identical for
-//!    any thread count (analysis rule R3 keeps holding).
+//!    any thread count (rule R3 keeps holding).
 //! 2. **Safe Rust only**: workers own an `Arc` of an immutable context and
 //!    exchange fully owned job values through a `Mutex<VecDeque>` + condvar
 //!    queue, so no `unsafe`, no scoped-lifetime tricks, and no external

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use raceloc_obs::{Stopwatch, Telemetry};
+use raceloc_obs::{names, CounterName, Stopwatch, Telemetry};
 
 use crate::chunk::MAX_CHUNKS;
 
@@ -33,13 +33,13 @@ pub trait PoolJob<C>: Send {
 
 /// Chunk-size histogram buckets published by [`WorkerPool::publish_stats`].
 /// Upper bounds are inclusive; the last bucket is open-ended.
-const CHUNK_BUCKETS: [(usize, &str); 6] = [
-    (64, "par.pool.chunk_le_64"),
-    (128, "par.pool.chunk_le_128"),
-    (256, "par.pool.chunk_le_256"),
-    (512, "par.pool.chunk_le_512"),
-    (1024, "par.pool.chunk_le_1024"),
-    (usize::MAX, "par.pool.chunk_gt_1024"),
+const CHUNK_BUCKETS: [(usize, CounterName); 6] = [
+    (64, names::PAR_POOL_CHUNK_LE_64),
+    (128, names::PAR_POOL_CHUNK_LE_128),
+    (256, names::PAR_POOL_CHUNK_LE_256),
+    (512, names::PAR_POOL_CHUNK_LE_512),
+    (1024, names::PAR_POOL_CHUNK_LE_1024),
+    (usize::MAX, names::PAR_POOL_CHUNK_GT_1024),
 ];
 
 fn bucket_index(items: usize) -> usize {
@@ -268,20 +268,20 @@ where
         st.published.chunk_hist = st.stats.chunk_hist;
         drop(st);
         if jobs > 0 {
-            tel.add("par.pool.jobs", jobs);
+            tel.add(names::PAR_POOL_JOBS, jobs);
         }
         if batches > 0 {
-            tel.add("par.pool.batches", batches);
+            tel.add(names::PAR_POOL_BATCHES, batches);
         }
         if peak > 0 {
-            tel.add("par.pool.queue_peak", peak as u64);
+            tel.add(names::PAR_POOL_QUEUE_PEAK, peak as u64);
         }
         if busy > 0.0 {
-            tel.record_span("par.pool.busy", busy);
+            tel.record_span(names::PAR_POOL_BUSY, busy);
         }
         for (i, (_, name)) in CHUNK_BUCKETS.iter().enumerate() {
             if hist_delta[i] > 0 {
-                tel.add(name, hist_delta[i]);
+                tel.add(*name, hist_delta[i]);
             }
         }
     }
@@ -456,18 +456,24 @@ mod tests {
         pool.run_batch(&mut jobs);
         pool.publish_stats(&tel);
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("par.pool.jobs"), Some(1));
-        assert_eq!(snap.counter("par.pool.batches"), Some(1));
-        assert_eq!(snap.counter("par.pool.chunk_le_64"), Some(1));
+        assert_eq!(snap.counter(names::PAR_POOL_JOBS.as_str()), Some(1));
+        assert_eq!(snap.counter(names::PAR_POOL_BATCHES.as_str()), Some(1));
+        assert_eq!(snap.counter(names::PAR_POOL_CHUNK_LE_64.as_str()), Some(1));
 
         // A second publish with no new work adds nothing.
         pool.publish_stats(&tel);
-        assert_eq!(tel.snapshot().counter("par.pool.jobs"), Some(1));
+        assert_eq!(
+            tel.snapshot().counter(names::PAR_POOL_JOBS.as_str()),
+            Some(1)
+        );
 
         // Another batch publishes only the delta; the counter accumulates.
         pool.run_batch(&mut jobs);
         pool.publish_stats(&tel);
-        assert_eq!(tel.snapshot().counter("par.pool.jobs"), Some(2));
+        assert_eq!(
+            tel.snapshot().counter(names::PAR_POOL_JOBS.as_str()),
+            Some(2)
+        );
     }
 
     #[test]
@@ -475,7 +481,10 @@ mod tests {
         let tel = Telemetry::disabled();
         let pool: WorkerPool<Arc<f64>, Scale> = WorkerPool::new(Arc::new(1.0), 1);
         pool.publish_stats(&tel);
-        assert!(tel.snapshot().counter("par.pool.jobs").is_none());
+        assert!(tel
+            .snapshot()
+            .counter(names::PAR_POOL_JOBS.as_str())
+            .is_none());
     }
 
     #[test]

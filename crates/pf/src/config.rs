@@ -211,11 +211,8 @@ impl SynPfConfig {
                     // The error paths below are config field names, not
                     // telemetry counters — they only share the prefix.
                     match e.field {
-                        // analyze:allow(R8, reason = "config-error field path, not a telemetry counter")
                         "upgrade_streak" => "deadline.upgrade_streak",
-                        // analyze:allow(R8, reason = "config-error field path, not a telemetry counter")
                         "headroom_pct" => "deadline.headroom_pct",
-                        // analyze:allow(R8, reason = "config-error field path, not a telemetry counter")
                         _ => "deadline.cost.per_particle_units",
                     },
                     e.reason,

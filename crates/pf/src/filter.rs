@@ -1,6 +1,6 @@
 //! SynPF: the Monte-Carlo localization filter itself.
 
-use raceloc_obs::Stopwatch;
+use raceloc_obs::{names, CounterName, Stopwatch};
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
@@ -233,13 +233,13 @@ pub struct SynPf<M: RangeMethod> {
 }
 
 /// Per-rung occupancy counters, indexed by ladder rung (DESIGN.md §14).
-const RUNG_COUNTERS: [&str; raceloc_core::deadline::LADDER_LEN] = [
-    "deadline.rung0",
-    "deadline.rung1",
-    "deadline.rung2",
-    "deadline.rung3",
-    "deadline.rung4",
-    "deadline.rung5",
+const RUNG_COUNTERS: [CounterName; raceloc_core::deadline::LADDER_LEN] = [
+    names::DEADLINE_RUNG0,
+    names::DEADLINE_RUNG1,
+    names::DEADLINE_RUNG2,
+    names::DEADLINE_RUNG3,
+    names::DEADLINE_RUNG4,
+    names::DEADLINE_RUNG5,
 ];
 
 /// The free cells of `grid`, in grid iteration order.
@@ -379,7 +379,7 @@ impl<M: RangeMethod + 'static> SynPf<M> {
     }
 
     /// Attaches a telemetry handle: every subsequent prediction and
-    /// correction records the `pf.motion`, `pf.raycast`, `pf.sensor`,
+    /// correction records the `pf.motion`, `pf.cast_weight`, `pf.reduce`,
     /// `pf.resample`, and `pf.correct` spans (plus the `range.*` metrics of
     /// the batch caster) into it.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
@@ -581,7 +581,7 @@ impl<M: RangeMethod + 'static> SynPf<M> {
             None => n,
         };
         if self.config.kld.is_some() {
-            self.tel.add("pf.kld.n_target", target as u64);
+            self.tel.add(names::PF_KLD_N_TARGET, target as u64);
         }
         // In-place low-variance resample through a reusable scratch store:
         // gather every lane (including the trig lanes — gathered, not
@@ -590,7 +590,7 @@ impl<M: RangeMethod + 'static> SynPf<M> {
         self.store
             .gather_into(&self.resample_idx, &mut self.resample_scratch);
         std::mem::swap(&mut self.store, &mut self.resample_scratch);
-        self.tel.add("pf.soa.resampled", target as u64);
+        self.tel.add(names::PF_SOA_RESAMPLED, target as u64);
         let u = 1.0 / target as f64;
         self.weights.clear();
         self.weights.resize(target, u);
@@ -673,13 +673,13 @@ impl<M: RangeMethod + 'static> SynPf<M> {
         } as u64;
         let ctl = self.deadline.as_mut()?;
         let plan = ctl.plan(self.pressure_factor, health, base, beams);
-        self.tel.add("deadline.rung", plan.rung as u64);
+        self.tel.add(names::DEADLINE_RUNG, plan.rung as u64);
         self.tel.add(RUNG_COUNTERS[plan.rung], 1);
         if plan.miss {
-            self.tel.add("deadline.miss", 1);
+            self.tel.add(names::DEADLINE_MISS, 1);
         }
         if plan.coast {
-            self.tel.add("deadline.coast_steps", 1);
+            self.tel.add(names::DEADLINE_COAST_STEPS, 1);
         }
         self.last_plan = Some(plan);
         Some(plan)
@@ -715,11 +715,11 @@ impl<M: RangeMethod + 'static> SynPf<M> {
             .push((Cow::Borrowed("motion"), motion_seconds));
         self.last_stages
             .push((Cow::Borrowed("raycast"), raycast_seconds));
-        self.tel.record_span("pf.raycast", raycast_seconds);
-        self.tel.record_span("pf.sensor", sensor_seconds);
-        self.tel.record_span("pf.resample", resample_seconds);
+        self.tel.record_span(names::PF_CAST_WEIGHT, raycast_seconds);
+        self.tel.record_span(names::PF_REDUCE, sensor_seconds);
+        self.tel.record_span(names::PF_RESAMPLE, resample_seconds);
         self.tel
-            .record_span("pf.correct", correct_started.elapsed_seconds());
+            .record_span(names::PF_CORRECT, correct_started.elapsed_seconds());
         self.last_stages
             .push((Cow::Borrowed("sensor"), sensor_seconds));
         self.last_stages
@@ -872,7 +872,7 @@ impl<M: RangeMethod + 'static> SynPf<M> {
             self.health_w_slow = 0.0;
             self.health_w_fast = 0.0;
             self.health_steps = 0;
-            self.tel.add("pf.health.reinit", 1);
+            self.tel.add(names::PF_HEALTH_REINIT, 1);
         }
     }
 }
@@ -944,7 +944,7 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
         self.last_odom = Some(*odom);
         let seconds = started.elapsed_seconds();
         self.motion_accum_seconds += seconds;
-        self.tel.record_span("pf.motion", seconds);
+        self.tel.record_span(names::PF_MOTION, seconds);
     }
 
     fn correct(&mut self, scan: &LaserScan) -> Pose2 {
@@ -1089,8 +1089,9 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
         }
         // Same telemetry contract as the unfused pipeline: the query count
         // the kernel evaluated (dropped beams are never cast), and the
-        // casting time under `pf.raycast` (booked by `finish_correction`).
-        self.tel.add("range.queries", (n * k_finite) as u64);
+        // cast+weight time under `pf.cast_weight` (booked by
+        // `finish_correction`).
+        self.tel.add(names::RANGE_QUERIES, (n * k_finite) as u64);
         let raycast_seconds = raycast_started.elapsed_seconds();
         // Weight reduction over the scattered per-particle log-likelihoods.
         let sensor_started = Stopwatch::start();
@@ -1530,23 +1531,31 @@ mod tests {
         }
         let snap = tel.snapshot();
         for span in [
-            "pf.motion",
-            "pf.raycast",
-            "pf.sensor",
-            "pf.resample",
-            "pf.correct",
+            names::PF_MOTION,
+            names::PF_CAST_WEIGHT,
+            names::PF_REDUCE,
+            names::PF_RESAMPLE,
+            names::PF_CORRECT,
         ] {
-            let s = snap.span(span).unwrap_or_else(|| panic!("span {span}"));
-            assert!(s.count >= 1, "{span}");
+            let s = snap
+                .span(span.as_str())
+                .unwrap_or_else(|| panic!("span {span:?}"));
+            assert!(s.count >= 1, "{span:?}");
         }
-        assert_eq!(snap.span("pf.correct").unwrap().count, 3);
+        assert_eq!(snap.span(names::PF_CORRECT.as_str()).unwrap().count, 3);
         // The batch caster books its own metrics through the same handle.
-        assert!(snap.counter("range.queries").unwrap_or(0) > 0);
+        assert!(snap.counter(names::RANGE_QUERIES.as_str()).unwrap_or(0) > 0);
         // Stage spans nest inside the whole correction.
-        let total = snap.span("pf.correct").unwrap().total_seconds;
-        let parts = snap.span("pf.raycast").unwrap().total_seconds
-            + snap.span("pf.sensor").unwrap().total_seconds
-            + snap.span("pf.resample").unwrap().total_seconds;
+        let total = snap.span(names::PF_CORRECT.as_str()).unwrap().total_seconds;
+        let parts = snap
+            .span(names::PF_CAST_WEIGHT.as_str())
+            .unwrap()
+            .total_seconds
+            + snap.span(names::PF_REDUCE.as_str()).unwrap().total_seconds
+            + snap
+                .span(names::PF_RESAMPLE.as_str())
+                .unwrap()
+                .total_seconds;
         assert!(parts <= total + 1e-6, "stages {parts} exceed total {total}");
     }
 
@@ -1765,7 +1774,10 @@ mod health_tests {
         }
         assert!(saw_non_nominal, "detectors never reacted to the kidnap");
         assert!(
-            tel.snapshot().counter("pf.health.reinit").unwrap_or(0) >= 1,
+            tel.snapshot()
+                .counter(names::PF_HEALTH_REINIT.as_str())
+                .unwrap_or(0)
+                >= 1,
             "Lost never triggered a global re-init"
         );
         assert_eq!(pf.health(), Health::Nominal, "did not settle after re-init");
@@ -2142,13 +2154,16 @@ mod deadline_tests {
         // Telemetry: occupancy recorded on the top rung and at least one
         // degraded rung.
         let snap = tel.snapshot();
-        assert!(snap.counter("deadline.rung0").unwrap_or(0) > 0);
+        assert!(snap.counter(names::DEADLINE_RUNG0.as_str()).unwrap_or(0) > 0);
         let degraded: u64 = (1..LADDER_LEN)
             .map(|r| snap.counter(&format!("deadline.rung{r}")).unwrap_or(0))
             .sum();
         assert!(degraded > 0, "degraded rung occupancy recorded");
-        assert!(snap.counter("pf.kld.n_target").is_some());
-        assert!(snap.counter("deadline.miss").is_none(), "no misses booked");
+        assert!(snap.counter(names::PF_KLD_N_TARGET.as_str()).is_some());
+        assert!(
+            snap.counter(names::DEADLINE_MISS.as_str()).is_none(),
+            "no misses booked"
+        );
     }
 
     #[test]
@@ -2179,9 +2194,12 @@ mod deadline_tests {
         assert_eq!(ctl.coast_steps(), coast_limit, "coast is bounded");
         assert!(ctl.misses() >= 5, "forced corrections book misses");
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("deadline.coast_steps"), Some(coast_limit));
-        assert!(snap.counter("deadline.miss").unwrap_or(0) >= 5);
-        assert!(snap.counter("deadline.rung5").unwrap_or(0) >= coast_limit);
+        assert_eq!(
+            snap.counter(names::DEADLINE_COAST_STEPS.as_str()),
+            Some(coast_limit)
+        );
+        assert!(snap.counter(names::DEADLINE_MISS.as_str()).unwrap_or(0) >= 5);
+        assert!(snap.counter(names::DEADLINE_RUNG5.as_str()).unwrap_or(0) >= coast_limit);
     }
 
     #[test]

@@ -92,7 +92,8 @@ pub(crate) fn cast_weight_kernel<M: RangeMethod + ?Sized>(
 ) {
     debug_assert_eq!(bearings.len(), rows.len());
     debug_assert_eq!(x.len(), log_w.len());
-    // analyze:allow(R9, reason = "resize of a cleared scratch that retains capacity across steps; amortized allocation-free")
+    // A resize of a cleared scratch that keeps its capacity across steps:
+    // allocation-free once warm (`tests/alloc_free.rs`).
     ebins.clear();
     ebins.resize(bearings.len(), 0);
     let inv_res = sensor.inv_resolution();
@@ -236,7 +237,6 @@ impl StepJob {
 }
 
 impl<M: RangeMethod> PoolJob<Arc<PfShared<M>>> for StepJob {
-    // analyze:steady-state
     fn run(&mut self, ctx: &Arc<PfShared<M>>) {
         match self.kind {
             JobKind::Idle => {}
@@ -244,7 +244,7 @@ impl<M: RangeMethod> PoolJob<Arc<PfShared<M>>> for StepJob {
                 // The stream depends only on (seed, epoch, chunk index) —
                 // never on which worker runs the job — so motion noise is
                 // identical for any thread count, including inline. The key
-                // is built through the central registry (analyzer rule R7).
+                // comes from the central registry (rule R7).
                 let mut rng =
                     Rng64::stream(self.seed, stream_keys::pf_motion(self.epoch, self.chunk));
                 motion_kernel(
@@ -261,7 +261,8 @@ impl<M: RangeMethod> PoolJob<Arc<PfShared<M>>> for StepJob {
                 );
             }
             JobKind::CastWeight => {
-                // analyze:allow(R9, reason = "resize of a cleared output buffer that retains capacity across steps; amortized allocation-free")
+                // A resize of a cleared output buffer that keeps its capacity
+                // across steps: allocation-free once warm.
                 self.log_w.clear();
                 self.log_w.resize(self.x.len(), 0.0);
                 cast_weight_kernel(

@@ -235,7 +235,7 @@ impl BeamSensorModel {
 
     /// Quantized-table read by flat index (`row_offset + expected_bin`).
     /// The index is clamped arithmetically, keeping the fused kernel's
-    /// inner loop free of panic branches (analysis rule R1-idx); in-contract
+    /// inner loop free of panic branches; in-contract
     /// callers can never be out of range because both factors are clamped
     /// at construction.
     #[inline]

@@ -40,7 +40,7 @@
 
 use crate::{CompressedRangeLut, RangeMethod, RayMarching};
 use raceloc_map::{DistanceMap, OccupancyGrid};
-use raceloc_obs::Telemetry;
+use raceloc_obs::{names, Telemetry};
 use raceloc_par::lock_unpoisoned;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -278,13 +278,13 @@ impl ArtifactStore {
     /// report.
     pub fn publish_stats(&self, tel: &Telemetry) {
         let state = lock_unpoisoned(&self.state);
-        tel.add("range.artifacts.builds", state.builds);
-        tel.add("range.artifacts.hits", state.hits);
-        tel.add("range.artifacts.cached", state.cache.len() as u64);
+        tel.add(names::RANGE_ARTIFACTS_BUILDS, state.builds);
+        tel.add(names::RANGE_ARTIFACTS_HITS, state.hits);
+        tel.add(names::RANGE_ARTIFACTS_CACHED, state.cache.len() as u64);
         let built: Vec<_> = state.cache.values().filter_map(|a| a.lut.get()).collect();
-        tel.add("range.artifacts.luts_built", built.len() as u64);
+        tel.add(names::RANGE_ARTIFACTS_LUTS_BUILT, built.len() as u64);
         let bytes: usize = built.iter().map(|l| l.memory_bytes()).sum();
-        tel.add("range.lut.compressed_bytes", bytes as u64);
+        tel.add(names::RANGE_LUT_COMPRESSED_BYTES, bytes as u64);
     }
 }
 
@@ -425,11 +425,23 @@ mod tests {
         let tel = Telemetry::enabled();
         store.publish_stats(&tel);
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("range.artifacts.builds"), Some(1));
-        assert_eq!(snap.counter("range.artifacts.hits"), Some(1));
-        assert_eq!(snap.counter("range.artifacts.cached"), Some(1));
-        assert_eq!(snap.counter("range.artifacts.luts_built"), Some(0));
-        assert_eq!(snap.counter("range.lut.compressed_bytes"), Some(0));
+        assert_eq!(
+            snap.counter(names::RANGE_ARTIFACTS_BUILDS.as_str()),
+            Some(1)
+        );
+        assert_eq!(snap.counter(names::RANGE_ARTIFACTS_HITS.as_str()), Some(1));
+        assert_eq!(
+            snap.counter(names::RANGE_ARTIFACTS_CACHED.as_str()),
+            Some(1)
+        );
+        assert_eq!(
+            snap.counter(names::RANGE_ARTIFACTS_LUTS_BUILT.as_str()),
+            Some(0)
+        );
+        assert_eq!(
+            snap.counter(names::RANGE_LUT_COMPRESSED_BYTES.as_str()),
+            Some(0)
+        );
         assert_eq!(store.luts_built(), 0, "no query ran, no LUT built");
     }
 
@@ -442,9 +454,12 @@ mod tests {
         let tel = Telemetry::enabled();
         store.publish_stats(&tel);
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("range.artifacts.luts_built"), Some(1));
         assert_eq!(
-            snap.counter("range.lut.compressed_bytes"),
+            snap.counter(names::RANGE_ARTIFACTS_LUTS_BUILT.as_str()),
+            Some(1)
+        );
+        assert_eq!(
+            snap.counter(names::RANGE_LUT_COMPRESSED_BYTES.as_str()),
             Some((100 * 100 * 16 * 2) as u64),
         );
     }

@@ -86,6 +86,7 @@ mod tests {
     use crate::testutil::room_with_pillar;
     use crate::BresenhamCasting;
     use crate::RangeMethod;
+    use raceloc_obs::names;
 
     fn queries(n: usize) -> Vec<(f64, f64, f64)> {
         (0..n)
@@ -152,8 +153,10 @@ mod tests {
         let mut out = vec![0.0; qs.len()];
         caster.par_ranges_traced(&qs, &mut out, 2, &tel);
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("range.queries"), Some(64));
-        let span = snap.span("range.batch").expect("span recorded");
+        assert_eq!(snap.counter(names::RANGE_QUERIES.as_str()), Some(64));
+        let span = snap
+            .span(names::RANGE_BATCH.as_str())
+            .expect("span recorded");
         assert_eq!(span.count, 1);
         assert!(span.total_seconds >= 0.0);
     }

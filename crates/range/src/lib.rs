@@ -1,5 +1,12 @@
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 //! Fast 2-D ray casting for localization — a from-scratch reimplementation
 //! of the `rangelibc` library (Walsh & Karaman, ICRA 2018) that the paper's
@@ -112,8 +119,8 @@ pub trait RangeMethod: Send + Sync {
         threads: usize,
         tel: &raceloc_obs::Telemetry,
     ) {
-        let _span = tel.span("range.batch");
-        tel.add("range.queries", queries.len() as u64);
+        let _span = tel.span(raceloc_obs::names::RANGE_BATCH);
+        tel.add(raceloc_obs::names::RANGE_QUERIES, queries.len() as u64);
         // Route through `par_ranges_into` (not `chunked_cast` directly) so
         // wrappers like `PooledCaster` that override the batch driver keep
         // their tracing behavior consistent with their execution path.

@@ -201,6 +201,7 @@ mod tests {
     use super::*;
     use crate::testutil::room_with_pillar;
     use crate::BresenhamCasting;
+    use raceloc_obs::names;
 
     fn queries(n: usize) -> Vec<(f64, f64, f64)> {
         (0..n)
@@ -268,8 +269,8 @@ mod tests {
         pooled.par_ranges_into(&qs, &mut out, 2);
         pooled.publish_stats(&tel);
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("par.pool.batches"), Some(1));
-        assert!(snap.counter("par.pool.jobs").unwrap_or(0) >= 1);
+        assert_eq!(snap.counter(names::PAR_POOL_BATCHES.as_str()), Some(1));
+        assert!(snap.counter(names::PAR_POOL_JOBS.as_str()).unwrap_or(0) >= 1);
     }
 
     #[test]

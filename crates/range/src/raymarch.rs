@@ -270,7 +270,6 @@ impl RangeMethod for RayMarching {
         self.cast(x, y, theta).0.clamp(0.0, self.max_range)
     }
 
-    // analyze:steady-state
     fn ranges_into(&self, queries: &[(f64, f64, f64)], out: &mut [f64]) {
         assert_eq!(queries.len(), out.len(), "query/output length mismatch");
         let rays = queries.iter().enumerate().map(|(slot, &(x, y, theta))| {

@@ -6,7 +6,7 @@ use crate::session::{session_seed, LocalizerSpec, SessionId, SessionSlot, Sessio
 use raceloc_core::sensor_data::{LaserScan, Odometry};
 use raceloc_core::{Health, Pose2};
 use raceloc_map::OccupancyGrid;
-use raceloc_obs::{CounterRollup, Json, Telemetry};
+use raceloc_obs::{names, CounterRollup, Json, Telemetry};
 use raceloc_par::{chunk_spans, FnJob, WorkerPool};
 use raceloc_range::{ArtifactParams, ArtifactStore};
 use std::collections::{BTreeMap, VecDeque};
@@ -236,7 +236,7 @@ impl ServeEngine {
         };
         self.record_open(id, &slot, start);
         self.sessions.insert(id.0, slot);
-        self.tel.add("serve.sessions.opened", 1);
+        self.tel.add(names::SERVE_SESSIONS_OPENED, 1);
         Ok(id)
     }
 
@@ -249,7 +249,7 @@ impl ServeEngine {
         }
         if self.queue.len() >= self.config.queue_capacity {
             if let Some(old) = self.queue.pop_front() {
-                self.tel.add("serve.shed", 1);
+                self.tel.add(names::SERVE_SHED, 1);
                 if let Some(slot) = self.sessions.get_mut(&old.session.0) {
                     slot.sheds += 1;
                 }
@@ -271,7 +271,7 @@ impl ServeEngine {
         if self.queue.is_empty() {
             return Vec::new();
         }
-        let batch_span = self.tel.span("serve.drain");
+        let batch_span = self.tel.span(names::SERVE_DRAIN);
         // Group by session, preserving per-session submission order.
         let mut by_session: BTreeMap<u64, Vec<StepRequest>> = BTreeMap::new();
         for req in self.queue.drain(..) {
@@ -289,12 +289,14 @@ impl ServeEngine {
                         // newest `quota` requests.
                         let shed = (reqs.len() - quota) as u64;
                         reqs.drain(..reqs.len() - quota);
-                        self.tel.add("serve.budget.shed", shed);
+                        self.tel.add(names::SERVE_BUDGET_SHED, shed);
                         slot.sheds += shed;
                     }
                     items.push((id, slot, reqs));
                 }
-                None => self.tel.add("serve.dropped_unknown", reqs.len() as u64),
+                None => self
+                    .tel
+                    .add(names::SERVE_DROPPED_UNKNOWN, reqs.len() as u64),
             }
         }
         let spans: Vec<std::ops::Range<usize>> =
@@ -320,8 +322,8 @@ impl ServeEngine {
         results.sort_by_key(|r| (r.session.0, r.seq));
         executed.sort_by_key(|(_, r)| (r.session.0, r.seq));
         self.record_steps(&executed);
-        self.tel.add("serve.steps", results.len() as u64);
-        self.tel.add("serve.batches", 1);
+        self.tel.add(names::SERVE_STEPS, results.len() as u64);
+        self.tel.add(names::SERVE_BATCHES, 1);
         drop(batch_span);
         results
     }
@@ -333,7 +335,7 @@ impl ServeEngine {
             .sessions
             .remove(&id.0)
             .ok_or(ServeError::UnknownSession(id))?;
-        self.tel.add("serve.sessions.closed", 1);
+        self.tel.add(names::SERVE_SESSIONS_CLOSED, 1);
         Ok(SessionSummary {
             id,
             name: slot.name,
@@ -364,7 +366,10 @@ impl ServeEngine {
 
     /// Total requests shed by backpressure since the engine was created.
     pub fn shed_total(&self) -> u64 {
-        self.tel.snapshot().counter("serve.shed").unwrap_or(0)
+        self.tel
+            .snapshot()
+            .counter(names::SERVE_SHED.as_str())
+            .unwrap_or(0)
     }
 
     /// Total requests shed by per-session step quotas
@@ -372,7 +377,7 @@ impl ServeEngine {
     pub fn budget_shed_total(&self) -> u64 {
         self.tel
             .snapshot()
-            .counter("serve.budget.shed")
+            .counter(names::SERVE_BUDGET_SHED.as_str())
             .unwrap_or(0)
     }
 
@@ -405,7 +410,7 @@ impl ServeEngine {
         rollup.absorb(&self.tel.snapshot());
         for slot in self.sessions.values() {
             rollup.absorb(&slot.tel.snapshot());
-            rollup.absorb_counts(&[("serve.session.steps", slot.steps)]);
+            rollup.absorb_counts(&[(names::SERVE_SESSION_STEPS.as_str(), slot.steps)]);
         }
         rollup
     }
@@ -432,7 +437,7 @@ impl ServeEngine {
             ),
         ]);
         if writeln!(out, "{doc}").is_err() {
-            self.tel.add("serve.record.errors", 1);
+            self.tel.add(names::SERVE_RECORD_ERRORS, 1);
         }
     }
 
@@ -448,7 +453,7 @@ impl ServeEngine {
             }
         }
         if errors > 0 {
-            self.tel.add("serve.record.errors", errors);
+            self.tel.add(names::SERVE_RECORD_ERRORS, errors);
         }
     }
 }
@@ -456,7 +461,6 @@ impl ServeEngine {
 /// Executes one chunk of sessions: serial steps per session, sessions in
 /// ascending-id order. Pure w.r.t. the pool context, so any worker
 /// produces identical results.
-// analyze:steady-state
 fn run_chunk(work: Option<ChunkWork>) -> ChunkOut {
     let Some(chunk) = work else {
         return Vec::new();

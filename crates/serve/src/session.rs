@@ -13,9 +13,13 @@ use std::sync::Arc;
 /// [`ServeEngine`](crate::ServeEngine).
 ///
 /// Ids are assigned densely from zero in open order and are never reused,
-/// so they double as the session's deterministic RNG stream index
-/// (`Rng64::stream(engine_seed, id)`).
+/// so they double as the session's deterministic RNG stream key
+/// (`Rng64::stream(engine_seed, stream_keys::serve_session(id))`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the derived partial_cmp orders an integer id, which is total"
+)]
 pub struct SessionId(pub u64);
 
 impl fmt::Display for SessionId {
@@ -139,7 +143,10 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, session_seed(7, SessionId(4)));
         assert_ne!(a, session_seed(8, SessionId(3)));
-        assert_eq!(a, Rng64::stream(7, 3).next_u64());
+        assert_eq!(
+            a,
+            Rng64::stream(7, stream_keys::serve_session(3)).next_u64()
+        );
     }
 
     #[test]

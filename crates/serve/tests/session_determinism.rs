@@ -6,7 +6,7 @@
 use raceloc_core::sensor_data::{LaserScan, Odometry};
 use raceloc_core::{stream_keys, Pose2, Rng64, Twist2};
 use raceloc_map::{Track, TrackShape, TrackSpec};
-use raceloc_obs::SharedBuffer;
+use raceloc_obs::{names, SharedBuffer};
 use raceloc_pf::SynPfConfig;
 use raceloc_range::{ArtifactParams, RangeMethod, RayMarching};
 use raceloc_serve::{
@@ -298,13 +298,22 @@ fn ten_same_track_sessions_share_one_artifact_build() {
     assert_eq!(engine.store().luts_built(), 1, "ten sessions, one LUT");
 
     let rollup = engine.rollup();
-    assert_eq!(rollup.total("range.artifacts.builds"), Some(1));
-    assert_eq!(rollup.total("range.artifacts.hits"), Some(9));
-    assert_eq!(rollup.total("range.artifacts.luts_built"), Some(1));
-    assert_eq!(rollup.total("serve.sessions.opened"), Some(10));
-    assert_eq!(rollup.total("serve.steps"), Some(10));
+    assert_eq!(
+        rollup.total(names::RANGE_ARTIFACTS_BUILDS.as_str()),
+        Some(1)
+    );
+    assert_eq!(rollup.total(names::RANGE_ARTIFACTS_HITS.as_str()), Some(9));
+    assert_eq!(
+        rollup.total(names::RANGE_ARTIFACTS_LUTS_BUILT.as_str()),
+        Some(1)
+    );
+    assert_eq!(
+        rollup.total(names::SERVE_SESSIONS_OPENED.as_str()),
+        Some(10)
+    );
+    assert_eq!(rollup.total(names::SERVE_STEPS.as_str()), Some(10));
     assert!(
-        rollup.total("par.pool.jobs").unwrap_or(0) > 0,
+        rollup.total(names::PAR_POOL_JOBS.as_str()).unwrap_or(0) > 0,
         "drain went through the worker pool"
     );
     // All ten sessions ran on the same bundle (same content key).
@@ -354,7 +363,7 @@ fn backpressure_sheds_oldest_first() {
     // Dead reckoning echoes the odometry frame walk: the surviving steps
     // are the ones submitted with k = 2..5.
     assert_eq!(results[0].seq, 0);
-    assert_eq!(engine.rollup().total("serve.shed"), Some(2));
+    assert_eq!(engine.rollup().total(names::SERVE_SHED.as_str()), Some(2));
     let summary = engine.close_session(id).expect("open");
     assert_eq!(summary.sheds, 2);
     assert_eq!(summary.steps, 4);
@@ -417,7 +426,10 @@ fn session_step_quota_sheds_oldest_keeping_newest() {
     );
     assert_eq!(engine.budget_shed_total(), 3);
     assert_eq!(engine.shed_total(), 0, "queue backpressure never fired");
-    assert_eq!(engine.rollup().total("serve.budget.shed"), Some(3));
+    assert_eq!(
+        engine.rollup().total(names::SERVE_BUDGET_SHED.as_str()),
+        Some(3)
+    );
     let summary_a = engine.close_session(a).expect("open");
     assert_eq!(summary_a.sheds, 3);
     assert_eq!(summary_a.steps, 2);

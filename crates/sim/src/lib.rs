@@ -1,5 +1,12 @@
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 //! An F1TENTH-style racing simulator: vehicle dynamics with grip-dependent
 //! tire slip, slip-corrupted wheel odometry, a simulated 2-D LiDAR, a

@@ -204,7 +204,6 @@ impl Vehicle {
     /// Advances the state by `dt` seconds under the given command,
     /// integrating with semi-implicit Euler at the caller's step (intended
     /// ≤ 2 ms).
-    // analyze:steady-state
     pub fn step(&self, state: &VehicleState, cmd: &DriveCommand, dt: f64) -> VehicleState {
         let p = &self.params;
         let mut s = *state;

@@ -10,7 +10,7 @@ use raceloc_core::{Health, Pose2};
 use raceloc_faults::{FaultSchedule, FaultTracker};
 use raceloc_map::{CellState, Track};
 use raceloc_obs::Stopwatch;
-use raceloc_obs::{Json, RunRecorder, StepRecord, Telemetry};
+use raceloc_obs::{names, Json, RunRecorder, StepRecord, Telemetry};
 use raceloc_range::{PooledCaster, RayMarching};
 use std::collections::VecDeque;
 use std::io;
@@ -460,7 +460,7 @@ impl World {
     ///
     /// Infallible by construction: a recorder write error aborts the run
     /// and is handed back in the second tuple slot instead of unwinding, so
-    /// the recorder-less entry points stay panic-free (analysis rule R1)
+    /// the recorder-less entry points stay panic-free (rule R1)
     /// without a structurally-impossible `expect`.
     fn run_inner<L: Localizer + ?Sized>(
         &mut self,
@@ -516,7 +516,7 @@ impl World {
                     let t0 = Stopwatch::start();
                     localizer.predict(&odom);
                     let predict_seconds = t0.elapsed_seconds();
-                    self.tel.record_span("sim.predict", predict_seconds);
+                    self.tel.record_span(names::SIM_PREDICT, predict_seconds);
                     log.predict_seconds_total += predict_seconds;
                     log.predict_calls += 1;
                 }
@@ -596,7 +596,7 @@ impl World {
                     let t0 = Stopwatch::start();
                     let est = localizer.correct(&scan);
                     let correct_seconds = t0.elapsed_seconds();
-                    self.tel.record_span("sim.correct", correct_seconds);
+                    self.tel.record_span(names::SIM_CORRECT, correct_seconds);
                     if let Some(rec) = recorder.as_deref_mut() {
                         let write = rec.record_step(&StepRecord {
                             step: log.samples.len() as u64,
@@ -653,7 +653,8 @@ impl World {
             if self.tel.is_enabled() {
                 let t0 = Stopwatch::start();
                 self.state = self.vehicle.step(&self.state, &cmd, dt);
-                self.tel.record_span("sim.physics", t0.elapsed_seconds());
+                self.tel
+                    .record_span(names::SIM_PHYSICS, t0.elapsed_seconds());
             } else {
                 self.state = self.vehicle.step(&self.state, &cmd, dt);
             }
@@ -945,11 +946,15 @@ mod tests {
 
         // The loop's own spans were recorded.
         let snap = tel.snapshot();
-        let correct = snap.span("sim.correct").expect("sim.correct span");
+        let correct = snap
+            .span(names::SIM_CORRECT.as_str())
+            .expect("sim.correct span");
         assert_eq!(correct.count as usize, log.samples.len());
-        let predict = snap.span("sim.predict").expect("sim.predict span");
+        let predict = snap
+            .span(names::SIM_PREDICT.as_str())
+            .expect("sim.predict span");
         assert_eq!(predict.count as usize, log.predict_calls);
-        assert!(snap.span("sim.physics").is_some());
+        assert!(snap.span(names::SIM_PHYSICS.as_str()).is_some());
     }
 
     #[test]
@@ -1142,8 +1147,14 @@ mod tests {
         let mut dr = DeadReckoning::new();
         world.run_with_oracle_control(&mut dr, 0.5);
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("faults.lidar_blackout.activations"), Some(1));
-        assert_eq!(snap.counter("faults.lidar_blackout.steps"), Some(4));
+        assert_eq!(
+            snap.counter(names::FAULTS_LIDAR_BLACKOUT_ACTIVATIONS.as_str()),
+            Some(1)
+        );
+        assert_eq!(
+            snap.counter(names::FAULTS_LIDAR_BLACKOUT_STEPS.as_str()),
+            Some(4)
+        );
         world.clear_fault_schedule();
         assert!(world.fault_schedule().is_none());
     }
@@ -1203,8 +1214,14 @@ mod tests {
             assert_eq!(*f, expected, "factor at correction {i}");
         }
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("faults.compute_pressure.activations"), Some(1));
-        assert_eq!(snap.counter("faults.compute_pressure.steps"), Some(7));
+        assert_eq!(
+            snap.counter(names::FAULTS_COMPUTE_PRESSURE_ACTIVATIONS.as_str()),
+            Some(1)
+        );
+        assert_eq!(
+            snap.counter(names::FAULTS_COMPUTE_PRESSURE_STEPS.as_str()),
+            Some(7)
+        );
     }
 
     #[test]

@@ -1,5 +1,12 @@
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 //! A Cartographer-style 2-D LiDAR SLAM system — the state-of-the-art
 //! pose-graph baseline the paper benchmarks SynPF against.

@@ -12,7 +12,7 @@
 //! can neither cover the discrepancy (corridor sections are longitudinally
 //! ambiguous) nor recover more than one window per scan.
 
-use raceloc_obs::Stopwatch;
+use raceloc_obs::{names, Stopwatch};
 use std::borrow::Cow;
 
 use crate::probgrid::ProbabilityGrid;
@@ -179,7 +179,7 @@ impl CartoLocalizer {
             self.config.prior_rotation_weight,
         );
         let seconds = started.elapsed_seconds();
-        self.tel.record_span("slam.refine", seconds);
+        self.tel.record_span(names::SLAM_REFINE, seconds);
         self.record_stage("refine", seconds);
         result
     }
@@ -301,7 +301,7 @@ impl Localizer for CartoLocalizer {
                 self.matcher
                     .match_scan(&self.grid, &self.points, prior, self.config.window);
             let match_seconds = match_started.elapsed_seconds();
-            self.tel.record_span("slam.correlative", match_seconds);
+            self.tel.record_span(names::SLAM_CORRELATIVE, match_seconds);
             self.record_stage("correlative", match_seconds);
             let rescued = self.refine(coarse.pose, prior);
             if rescued.score > direct.score {
@@ -315,7 +315,7 @@ impl Localizer for CartoLocalizer {
         self.last_score = fine.score;
         self.update_health(fine.score);
         self.tel
-            .record_span("slam.correct", correct_started.elapsed_seconds());
+            .record_span(names::SLAM_CORRECT, correct_started.elapsed_seconds());
         if self.last_score >= self.config.min_score {
             // Clamp the refined pose back into the search window: the
             // single-hypothesis tracker never jumps beyond its window.
@@ -519,10 +519,17 @@ mod tests {
         let names: Vec<&str> = d.stages.iter().map(|(n, _)| n.as_ref()).collect();
         assert_eq!(names, ["refine", "correlative"]);
         let snap = tel.snapshot();
-        let correct = snap.span("slam.correct").expect("correct span");
+        let correct = snap
+            .span(names::SLAM_CORRECT.as_str())
+            .expect("correct span");
         assert_eq!(correct.count, 1);
-        assert_eq!(snap.span("slam.correlative").expect("span").count, 1);
-        let refine = snap.span("slam.refine").expect("refine span");
+        assert_eq!(
+            snap.span(names::SLAM_CORRELATIVE.as_str())
+                .expect("span")
+                .count,
+            1
+        );
+        let refine = snap.span(names::SLAM_REFINE.as_str()).expect("refine span");
         assert_eq!(refine.count, 2);
         // The refine stage totals both refines.
         assert_eq!(d.stage("refine"), Some(refine.total_seconds));

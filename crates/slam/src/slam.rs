@@ -1,7 +1,7 @@
 //! The online SLAM pipeline: local matching, submap insertion, pose-graph
 //! construction, loop closure, and map export.
 
-use raceloc_obs::Stopwatch;
+use raceloc_obs::{names, Stopwatch};
 use std::borrow::Cow;
 
 use crate::loop_closure::{BranchAndBoundConfig, BranchAndBoundMatcher};
@@ -254,7 +254,7 @@ impl CartoSlam {
             let correction = after * before.inverse();
             self.tracked = correction * self.tracked;
             let optimize_seconds = optimize_started.elapsed_seconds();
-            self.tel.record_span("slam.optimize", optimize_seconds);
+            self.tel.record_span(names::SLAM_OPTIMIZE, optimize_seconds);
             self.record_stage("optimize", optimize_seconds);
         }
     }
@@ -369,7 +369,7 @@ impl Localizer for CartoSlam {
                 self.tracked = fine.pose * self.config.lidar_mount.inverse();
                 self.last_match_score = Some(fine.score);
                 let match_seconds = match_started.elapsed_seconds();
-                self.tel.record_span("slam.match", match_seconds);
+                self.tel.record_span(names::SLAM_MATCH, match_seconds);
                 self.record_stage("match", match_seconds);
             }
         }
@@ -406,19 +406,20 @@ impl Localizer for CartoSlam {
             self.last_insert_pose = Some(self.tracked);
             self.nodes_since_closure += 1;
             let insert_seconds = insert_started.elapsed_seconds();
-            self.tel.record_span("slam.insert", insert_seconds);
+            self.tel.record_span(names::SLAM_INSERT, insert_seconds);
             self.record_stage("insert", insert_seconds);
             if self.nodes_since_closure >= self.config.loop_closure_every {
                 self.nodes_since_closure = 0;
                 let closure_started = Stopwatch::start();
                 self.try_loop_closure();
                 let closure_seconds = closure_started.elapsed_seconds();
-                self.tel.record_span("slam.loop_closure", closure_seconds);
+                self.tel
+                    .record_span(names::SLAM_LOOP_CLOSURE, closure_seconds);
                 self.record_stage("loop_closure", closure_seconds);
             }
         }
         self.tel
-            .record_span("slam.correct", correct_started.elapsed_seconds());
+            .record_span(names::SLAM_CORRECT, correct_started.elapsed_seconds());
         self.tracked
     }
 
@@ -634,9 +635,24 @@ mod tests {
             slam.correct(&raceloc_core::LaserScan::new(-0.5 * fov, inc, ranges, 10.0));
         }
         let snap = tel.snapshot();
-        assert!(snap.span("slam.correct").expect("correct span").count >= 30);
-        assert!(snap.span("slam.match").expect("match span").count >= 1);
-        assert!(snap.span("slam.insert").expect("insert span").count >= 1);
+        assert!(
+            snap.span(names::SLAM_CORRECT.as_str())
+                .expect("correct span")
+                .count
+                >= 30
+        );
+        assert!(
+            snap.span(names::SLAM_MATCH.as_str())
+                .expect("match span")
+                .count
+                >= 1
+        );
+        assert!(
+            snap.span(names::SLAM_INSERT.as_str())
+                .expect("insert span")
+                .count
+                >= 1
+        );
         let d = slam.diagnostics();
         assert!(d.match_score.is_some());
         assert!(d.stage("match").is_some() || d.stage("insert").is_some());

@@ -4,10 +4,10 @@
 //! Run with `cargo run --release --example range_methods`.
 
 use raceloc::map::{TrackShape, TrackSpec};
+use raceloc::obs::Stopwatch;
 use raceloc::range::{
     ArtifactParams, BresenhamCasting, Cddt, MapArtifacts, RangeMethod, RayMarching,
 };
-use std::time::Instant;
 
 fn main() {
     let track = TrackSpec::new(TrackShape::Oval {
@@ -66,11 +66,11 @@ fn main() {
         ("lut", &artifacts),
     ] {
         let mut out = vec![0.0; sweep.len()];
-        let t0 = Instant::now();
+        let t0 = Stopwatch::start();
         m.ranges_into(&sweep, &mut out);
         println!(
             "{name:<14} 3600-beam sweep in {:>7.2} ms",
-            t0.elapsed().as_secs_f64() * 1e3
+            t0.elapsed_seconds() * 1e3
         );
     }
 }

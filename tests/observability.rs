@@ -5,7 +5,7 @@
 
 use raceloc::core::localizer::Localizer;
 use raceloc::map::{Track, TrackShape, TrackSpec};
-use raceloc::obs::{parse_steps, Json, RunRecorder, SharedBuffer, Telemetry};
+use raceloc::obs::{names, parse_steps, Json, RunRecorder, SharedBuffer, Telemetry};
 use raceloc::pf::{SynPf, SynPfConfig};
 use raceloc::range::{ArtifactParams, MapArtifacts, RayMarching};
 use raceloc::sim::{World, WorldConfig};
@@ -77,19 +77,33 @@ fn synpf_closed_loop_populates_diagnostics_every_step() {
     // The shared telemetry handle aggregated the same loop: one pf.correct
     // and one sim.correct span per recorded step.
     let snap = tel.snapshot();
-    let sim_correct = snap.span("sim.correct").expect("sim.correct span");
+    let sim_correct = snap
+        .span(names::SIM_CORRECT.as_str())
+        .expect("sim.correct span");
     assert_eq!(sim_correct.count as usize, steps.len());
-    let pf_correct = snap.span("pf.correct").expect("pf.correct span");
+    let pf_correct = snap
+        .span(names::PF_CORRECT.as_str())
+        .expect("pf.correct span");
     assert_eq!(pf_correct.count as usize, steps.len());
-    for stage in ["pf.motion", "pf.raycast", "pf.sensor", "pf.resample"] {
-        assert!(snap.span(stage).is_some(), "missing span {stage}");
+    for stage in [
+        names::PF_MOTION,
+        names::PF_CAST_WEIGHT,
+        names::PF_REDUCE,
+        names::PF_RESAMPLE,
+    ] {
+        assert!(
+            snap.span(stage.as_str()).is_some(),
+            "missing span {stage:?}"
+        );
     }
     assert!(
-        snap.counter("range.queries").unwrap_or(0) > 0,
+        snap.counter(names::RANGE_QUERIES.as_str()).unwrap_or(0) > 0,
         "batched range queries counted"
     );
     // The latency histogram saw every correction too.
-    let hist = snap.histogram("pf.correct").expect("latency histogram");
+    let hist = snap
+        .histogram(names::PF_CORRECT.as_str())
+        .expect("latency histogram");
     assert_eq!(hist.total() as usize, steps.len());
 }
 
@@ -126,7 +140,8 @@ fn cartographer_closed_loop_reports_match_scores() {
     }
     let snap = tel.snapshot();
     assert_eq!(
-        snap.span("slam.correct").map(|s| s.count as usize),
+        snap.span(names::SLAM_CORRECT.as_str())
+            .map(|s| s.count as usize),
         Some(steps.len())
     );
 }
