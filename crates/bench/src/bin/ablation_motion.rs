@@ -7,9 +7,10 @@
 //! Run with `cargo run -p raceloc-bench --release --bin ablation_motion`.
 
 use raceloc_bench::{
-    format_row, run_cell_with_odom, table_header, test_track, track_artifacts, OdomSource,
-    MU_HIGH_QUALITY, MU_LOW_QUALITY,
+    format_row, run_cell, table_header, test_track, track_artifacts, OdomSource, MU_HIGH_QUALITY,
+    MU_LOW_QUALITY,
 };
+use raceloc_obs::Telemetry;
 use raceloc_pf::{DiffDriveModel, MotionConfig, SynPf, SynPfConfig, TumMotionModel};
 use std::sync::Arc;
 
@@ -40,7 +41,16 @@ fn main() {
                 .build()
                 .expect("ablation config is valid");
             let mut pf = SynPf::from_artifacts(Arc::clone(&artifacts), config);
-            let r = run_cell_with_odom(&mut pf, name, odom, mu, laps, 42, OdomSource::ImuFused);
+            let r = run_cell(
+                &mut pf,
+                name,
+                odom,
+                mu,
+                laps,
+                42,
+                OdomSource::ImuFused,
+                Telemetry::disabled(),
+            );
             println!("{}", format_row(&r));
         }
     }

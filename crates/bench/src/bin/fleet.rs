@@ -35,24 +35,21 @@
 //! by running again with the same `--cache-dir`: every cell already
 //! stored there is a cache hit, and only the rest execute.
 //!
-//! Runs never gate. The gates are their own subcommands, both exiting 0
-//! when clean, 1 on a violation and 2 on a usage or parse error:
-//!
-//! - `fleet check REPORT...` judges each written report against its own
-//!   embedded spec: the paper's qualitative localizer ordering and
-//!   per-cell sanity (`raceloc_eval::ordering_violations`), SynPF's
-//!   recovery budgets over every replicate and finite poses everywhere
-//!   (`raceloc_eval::recovery_violations`), and the deadline ladder's
-//!   contract on capped cells (`raceloc_eval::ladder_violations`);
-//! - `fleet diff BASELINE FRESH [--out FILE]` is the cross-PR accuracy
-//!   gate: it exits 1 on an ordering flip or a disjoint-Wilson-interval
-//!   success regression (see `raceloc_eval::diff_reports`).
+//! Runs never gate. `fleet check REPORT...` is the gate, exiting 0 when
+//! clean, 1 on a violation and 2 on a usage or parse error. It judges
+//! each written report against its own embedded spec: the paper's
+//! qualitative localizer ordering and per-cell sanity
+//! (`raceloc_eval::ordering_violations`), SynPF's recovery budgets over
+//! every replicate and finite poses everywhere
+//! (`raceloc_eval::recovery_violations`), and the deadline ladder's
+//! contract on capped cells (`raceloc_eval::ladder_violations`). Whether
+//! a report changed at all is `cmp` against its checked-in baseline.
 
 use raceloc_bench::env_threads;
 use raceloc_bench::fleet::{deadline_spec, fault_spec, fleet_spec};
 use raceloc_eval::{
-    diff_reports, ladder_violations, ordering_violations, recovery_violations, run_fleet_with,
-    CellSummary, FleetReport, FleetRunOptions, FleetSpec,
+    ladder_violations, ordering_violations, recovery_violations, run_fleet_with, CellSummary,
+    FleetReport, FleetRunOptions, FleetSpec,
 };
 use raceloc_obs::Json;
 
@@ -163,7 +160,7 @@ fn parse_args(argv: &[String]) -> Args {
             other => {
                 eprintln!(
                     "unknown argument {other:?} (known: --spec --quick --threads --out \
-                     --cache-dir --stats-out --stop-after-cells; subcommands: check, diff)"
+                     --cache-dir --stats-out --stop-after-cells; subcommand: check)"
                 );
                 std::process::exit(2);
             }
@@ -205,52 +202,6 @@ fn format_cell(c: &CellSummary) -> String {
             format!("{:.0}", c.mean_recovery_steps)
         },
     )
-}
-
-fn load_report(path: &str) -> FleetReport {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("failed to read {path}: {e}");
-        std::process::exit(2);
-    });
-    FleetReport::from_json_str(&text).unwrap_or_else(|e| {
-        eprintln!("failed to parse {path}: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// `fleet diff BASELINE FRESH [--out FILE]` — exit 0 clean, 1 regressed,
-/// 2 usage/parse failure.
-fn diff_main(argv: &[String]) -> ! {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut out: Option<String> = None;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                out = Some(it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                }));
-            }
-            _ => paths.push(arg),
-        }
-    }
-    let [baseline_path, fresh_path] = paths[..] else {
-        eprintln!("usage: fleet diff BASELINE FRESH [--out FILE]");
-        std::process::exit(2);
-    };
-    let baseline = load_report(baseline_path);
-    let fresh = load_report(fresh_path);
-    let diff = diff_reports(&baseline, &fresh);
-    let rendered = diff.render();
-    print!("{rendered}");
-    if let Some(out) = out {
-        if let Err(e) = std::fs::write(&out, &rendered) {
-            eprintln!("failed to write {out}: {e}");
-            std::process::exit(2);
-        }
-    }
-    std::process::exit(if diff.is_regression() { 1 } else { 0 });
 }
 
 /// Judges one written report against the spec embedded next to it.
@@ -300,10 +251,8 @@ fn check_main(paths: &[String]) -> i32 {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("diff") => diff_main(&argv[1..]),
-        Some("check") => std::process::exit(check_main(&argv[1..])),
-        _ => {}
+    if argv.first().map(String::as_str) == Some("check") {
+        std::process::exit(check_main(&argv[1..]));
     }
     let args = parse_args(&argv);
     if let Err(e) = check_args(&args) {

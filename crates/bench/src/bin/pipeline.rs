@@ -6,14 +6,24 @@
 //! **bitwise** against the pre-fusion reference (the explicit n·k
 //! expected-bin matrix, reduced in the filter's exact operation order)
 //! and the multi-threaded filter against the sequential one. Any
-//! divergence fails the run with exit code 1 — this is the check CI's
-//! `bench-gate` job executes.
+//! divergence fails the run with exit code 1.
 //!
 //! Run with `cargo run -p raceloc-bench --release --bin pipeline --
 //! [--quick] [--threads 1,2,4] [--particles 1200,4000] [--out FILE]`.
 //! The report defaults to the git-ignored `pipeline-fresh.json`;
 //! regenerating the checked-in baseline takes
 //! `--out BENCH_pipeline.json`.
+//!
+//! `pipeline check BASELINE FRESH` judges a written report against the
+//! checked-in one, exiting 0 when clean, 1 on a violation and 2 on a usage
+//! or parse error (the codes of `fleet check`). It fails when a FRESH run
+//! lost the bitwise gate, when a BASELINE `(particles, threads)` row is
+//! missing from FRESH, or when a row's step-latency median exceeds
+//! [`STEP_P50_TOLERANCE`] times the baseline's. The median, not the p99:
+//! quick mode times only 20 steps, so its p99 is one noisy-neighbour
+//! preemption away from the sample maximum, while losing the
+//! compressed-LUT fan fast path alone is a >2× median hit at 4000
+//! particles.
 
 use raceloc_bench::{test_track, track_artifacts};
 use raceloc_core::localizer::Localizer;
@@ -25,7 +35,12 @@ use raceloc_pf::resample::normalize;
 use raceloc_pf::{BeamSensorModel, SynPf, SynPfConfig};
 use raceloc_range::{MapArtifacts, RangeMethod, RayMarching};
 use raceloc_sim::{Lidar, LidarSpec};
+use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// `pipeline check` fails a row whose fresh step-latency median exceeds
+/// this multiple of the baseline's.
+const STEP_P50_TOLERANCE: f64 = 2.5;
 
 struct Args {
     quick: bool,
@@ -47,14 +62,14 @@ fn parse_usize_list(list: &str, flag: &str) -> Vec<usize> {
     parsed
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: &[String]) -> Args {
     let mut args = Args {
         quick: false,
         threads: vec![1, 2, 4],
         particles: vec![1200, 4000],
         out: "pipeline-fresh.json".to_string(),
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.iter().cloned();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => args.quick = true,
@@ -72,7 +87,8 @@ fn parse_args() -> Args {
             }
             other => {
                 eprintln!(
-                    "unknown argument {other:?} (known: --quick --threads --particles --out)"
+                    "unknown argument {other:?} (known: --quick --threads --particles --out; \
+                     subcommand: check)"
                 );
                 std::process::exit(2);
             }
@@ -314,8 +330,127 @@ fn measure(
     }
 }
 
+/// What `pipeline check` judges in one report.
+struct Gated {
+    /// `(particles, max |Δweight|)` of every run that lost the bitwise gate.
+    diverged: Vec<(u64, f64)>,
+    /// Step-latency median \[ms\] per `(particles, threads)` row.
+    step_p50: BTreeMap<(u64, u64), f64>,
+}
+
+fn load_gated(path: &str) -> Result<Gated, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("failed to read {path}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("failed to parse {path}: {e}"))?;
+    let missing = |what: &str| format!("{path}: missing {what}");
+    let runs = doc
+        .get("runs")
+        .and_then(Json::as_array)
+        .ok_or_else(|| missing("the \"runs\" array"))?;
+    let mut gated = Gated {
+        diverged: Vec::new(),
+        step_p50: BTreeMap::new(),
+    };
+    for run in runs {
+        let particles = run
+            .get("particles")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| missing("a run's \"particles\""))?;
+        let divergence = run.get("divergence");
+        let Some(&Json::Bool(identical)) = divergence.and_then(|d| d.get("bitwise_identical"))
+        else {
+            return Err(missing("a run's \"divergence.bitwise_identical\""));
+        };
+        if !identical {
+            let delta = divergence
+                .and_then(|d| d.get("max_abs_weight_delta"))
+                .and_then(Json::as_f64)
+                .unwrap_or(f64::NAN);
+            gated.diverged.push((particles, delta));
+        }
+        let rows = run
+            .get("threads")
+            .and_then(Json::as_array)
+            .ok_or_else(|| missing("a run's \"threads\" rows"))?;
+        for row in rows {
+            let threads = row.get("threads").and_then(Json::as_u64);
+            let p50 = row.get("step_ms_p50").and_then(Json::as_f64);
+            let (Some(threads), Some(p50)) = (threads, p50) else {
+                return Err(missing("a row's \"threads\" or \"step_ms_p50\""));
+            };
+            gated.step_p50.insert((particles, threads), p50);
+        }
+    }
+    Ok(gated)
+}
+
+/// The violations of `fresh` against `baseline`; prints one line per
+/// baseline row as it goes.
+fn judge(baseline: &Gated, fresh: &Gated) -> Vec<String> {
+    let mut violations: Vec<String> = fresh
+        .diverged
+        .iter()
+        .map(|(n, delta)| format!("N={n}: fused kernel diverged bitwise (max |dw| = {delta:e})"))
+        .collect();
+    if baseline.step_p50.is_empty() {
+        violations.push("the baseline has no (particles, threads) rows to judge".to_string());
+    }
+    for (&(n, threads), &base) in &baseline.step_p50 {
+        let Some(&got) = fresh.step_p50.get(&(n, threads)) else {
+            println!("N={n} threads={threads}: MISSING");
+            violations.push(format!(
+                "N={n} threads={threads}: row missing from the fresh report"
+            ));
+            continue;
+        };
+        let limit = STEP_P50_TOLERANCE * base;
+        let regressed = got > limit;
+        println!(
+            "N={n} threads={threads}: step p50 {got:.3} ms (baseline {base:.3} ms, \
+             limit {limit:.3} ms) {}",
+            if regressed { "REGRESSED" } else { "ok" }
+        );
+        if regressed {
+            violations.push(format!(
+                "N={n} threads={threads}: step p50 {got:.3} ms > \
+                 {STEP_P50_TOLERANCE}x baseline {base:.3} ms"
+            ));
+        }
+    }
+    violations
+}
+
+/// `pipeline check BASELINE FRESH` — exit 0 clean, 1 violated, 2
+/// usage/parse failure.
+fn check_main(paths: &[String]) -> i32 {
+    let [baseline, fresh] = paths else {
+        eprintln!("usage: pipeline check BASELINE FRESH");
+        return 2;
+    };
+    let (baseline, fresh) = match (load_gated(baseline), load_gated(fresh)) {
+        (Ok(b), Ok(f)) => (b, f),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("{e}");
+            return 2;
+        }
+    };
+    let violations = judge(&baseline, &fresh);
+    if violations.is_empty() {
+        println!("pipeline check passed");
+        return 0;
+    }
+    eprintln!("pipeline check FAILED:");
+    for v in &violations {
+        eprintln!("  - {v}");
+    }
+    1
+}
+
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().map(String::as_str) == Some("check") {
+        std::process::exit(check_main(&argv[1..]));
+    }
+    let args = parse_args(&argv);
     let reps = if args.quick { 20 } else { 200 };
     println!("Fused particle-pipeline benchmark (boxed 60, compressed LUT)");
     let track = test_track();

@@ -12,8 +12,8 @@
 //! on either odometry quality, the paper's qualitative ordering.
 
 use raceloc_bench::{
-    build_cartographer, build_synpf, format_row, run_cell_instrumented, table_header, test_track,
-    CellResult, OdomSource, MU_HIGH_QUALITY, MU_LOW_QUALITY,
+    build_cartographer, build_synpf, format_row, run_cell, table_header, test_track, CellResult,
+    OdomSource, MU_HIGH_QUALITY, MU_LOW_QUALITY,
 };
 use raceloc_obs::{Stopwatch, Telemetry};
 
@@ -43,7 +43,7 @@ fn main() {
         let mut carto = build_cartographer(&track);
         cold_starts.push(("Cartographer", odom, started.elapsed_seconds()));
         carto.set_telemetry(tel.clone());
-        let r = run_cell_instrumented(
+        let r = run_cell(
             &mut carto,
             "Cartographer",
             odom,
@@ -61,7 +61,7 @@ fn main() {
         let mut pf = build_synpf(&track, 7);
         cold_starts.push(("SynPF", odom, started.elapsed_seconds()));
         pf.set_telemetry(tel.clone());
-        let r = run_cell_instrumented(
+        let r = run_cell(
             &mut pf,
             "SynPF",
             odom,

@@ -149,56 +149,15 @@ pub struct CellResult {
 }
 
 /// Runs one closed-loop cell: `laps` timed laps (plus a warm-up lap that is
-/// discarded) with the given localizer on the given grip level.
+/// discarded) with the given localizer on the given grip level, fed by
+/// `odom_source`. `tel` is installed into the world, so the loop's
+/// `sim.predict` / `sim.correct` spans land next to whatever the localizer
+/// records into the same handle (install it there too via the concrete
+/// type's `set_telemetry`); this is how the Table III latency numbers are
+/// regenerated from recorded spans. Pass [`Telemetry::disabled`] to record
+/// nothing.
+#[allow(clippy::too_many_arguments)]
 pub fn run_cell<L: Localizer + ?Sized>(
-    localizer: &mut L,
-    method: &str,
-    odom_label: &str,
-    mu: f64,
-    laps: usize,
-    seed: u64,
-) -> CellResult {
-    run_cell_with_odom(
-        localizer,
-        method,
-        odom_label,
-        mu,
-        laps,
-        seed,
-        OdomSource::ImuFused,
-    )
-}
-
-/// [`run_cell`] with an explicit odometry source.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_with_odom<L: Localizer + ?Sized>(
-    localizer: &mut L,
-    method: &str,
-    odom_label: &str,
-    mu: f64,
-    laps: usize,
-    seed: u64,
-    odom_source: OdomSource,
-) -> CellResult {
-    run_cell_instrumented(
-        localizer,
-        method,
-        odom_label,
-        mu,
-        laps,
-        seed,
-        odom_source,
-        Telemetry::disabled(),
-    )
-}
-
-/// [`run_cell_with_odom`] with a telemetry handle installed into the world,
-/// so the loop's `sim.predict` / `sim.correct` spans land next to whatever
-/// the localizer records into the same handle (install it there too via the
-/// concrete type's `set_telemetry`). This is how the Table III latency
-/// numbers are regenerated from recorded spans.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_instrumented<L: Localizer + ?Sized>(
     localizer: &mut L,
     method: &str,
     odom_label: &str,

@@ -77,7 +77,6 @@
 
 pub mod aggregate;
 pub mod cache;
-pub mod diff;
 pub mod gates;
 pub mod runner;
 pub mod spec;
@@ -87,7 +86,6 @@ pub use aggregate::{
     ERROR_BOUNDS_CM,
 };
 pub use cache::{cell_hash, code_fingerprint, CellCache, Fnv64, RESULT_REVISION};
-pub use diff::{diff_reports, ReportDiff};
 pub use gates::{
     ladder_violations, ordering_violations, recovery_violations, CLIFF_SCENARIO, HALF_SCENARIO,
     NOMINAL_SCENARIO, SLIP_SCENARIO,

@@ -29,9 +29,9 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// Allocation events of [`WINDOW`] warm steps of 9 sessions (3 SynPF,
 /// 3 Cartographer, 3 dead reckoning) in 3 pool chunks, as measured on the
-/// engine when the pin was set: 34 per step, plus one 4-event buffer
-/// growth in Cartographer.
-const WARM_WINDOW_ALLOCATIONS: u64 = 276;
+/// engine when the pin was set: 34 per step, all of them the engine's own
+/// (the localizers allocate nothing once warm).
+const WARM_WINDOW_ALLOCATIONS: u64 = 272;
 
 /// Steps run before the measured window, to size every buffer.
 const WARM_UP: usize = 4;

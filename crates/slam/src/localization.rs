@@ -194,16 +194,21 @@ impl CartoLocalizer {
     /// gradient refinement works on thick wall bands.
     pub fn from_artifacts(artifacts: &MapArtifacts, config: CartoLocalizerConfig) -> Self {
         let map = artifacts.grid();
+        // Sized up front so that no correction allocates, whichever scan
+        // first reaches `max_points` or first needs the correlative rescue.
+        let mut matcher = CorrelativeScanMatcher::new(config.linear_step, config.angular_step);
+        matcher.reserve(config.max_points, config.window);
         Self {
             grid: ProbabilityGrid::from_occupancy_smoothed(map, 3.0 * map.resolution()),
-            matcher: CorrelativeScanMatcher::new(config.linear_step, config.angular_step),
+            matcher,
             refiner: GaussNewtonRefiner::default(),
-            points: Vec::new(),
+            points: Vec::with_capacity(config.max_points),
             pose: Pose2::IDENTITY,
             last_odom: None,
             last_score: 0.0,
             tel: Telemetry::disabled(),
-            last_stages: Vec::new(),
+            // `refine` and `correlative`.
+            last_stages: Vec::with_capacity(2),
             health_monitor: HealthMonitor::new(
                 config.health.map(|h| h.monitor).unwrap_or_default(),
             ),

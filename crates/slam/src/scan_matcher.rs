@@ -123,6 +123,24 @@ impl CorrelativeScanMatcher {
         }
     }
 
+    /// Reserves the search tables for scans of up to `max_points` points
+    /// in `window`, so [`Self::match_scan`] within both bounds never
+    /// allocates.
+    pub fn reserve(&mut self, max_points: usize, window: SearchWindow) {
+        let span = 2 * self.half_span(window) as usize + 1;
+        self.offsets.reserve(span);
+        self.xs.reserve(max_points);
+        self.ys.reserve(max_points);
+        self.cols.reserve(span * max_points);
+        self.rows.reserve(span * max_points);
+        self.totals.reserve(span);
+    }
+
+    /// Translational offsets on each side of the window's centre.
+    fn half_span(&self, window: SearchWindow) -> i64 {
+        ((window.linear / self.linear_step).ceil() as i64).max(0)
+    }
+
     /// Scores a placement: mean occupancy probability under the scan's
     /// points transformed by `pose`.
     pub fn score(grid: &ProbabilityGrid, points: &[Point2], pose: Pose2) -> f64 {
@@ -161,7 +179,7 @@ impl CorrelativeScanMatcher {
             return best;
         }
         let n_ang = ((window.angular / self.angular_step).ceil() as i64).max(0);
-        let n_lin = ((window.linear / self.linear_step).ceil() as i64).max(0);
+        let n_lin = self.half_span(window);
         let n = points.len();
         let origin = grid.origin();
         let res = grid.resolution();

@@ -1,7 +1,9 @@
-//! Steady-state allocation audit of the Cartographer pure localizer: once
-//! a warm-up has sized the downsampled-point buffer, the matcher's
-//! per-angle tables and the stage list, a predict/correct step performs
-//! **zero heap allocations**.
+//! Steady-state allocation audit of the Cartographer pure localizer: the
+//! constructor sizes the downsampled-point buffer, the matcher's per-angle
+//! tables and the stage list for the configured point cap and window, so
+//! after a warm-up a predict/correct step performs **zero heap
+//! allocations**, even when a later scan has more valid points than any
+//! before it.
 //!
 //! The audit uses a counting `#[global_allocator]` wrapper, so everything
 //! in this binary is counted; the measured window touches only the
@@ -37,6 +39,23 @@ fn drive(loc: &mut CartoLocalizer, scan: &LaserScan, steps: usize, t0: usize) {
         ));
         loc.correct(scan);
     }
+}
+
+/// `scan` with only `keep` of its beams returning: beam `i` stays when
+/// `i · keep mod beams < keep`, which picks exactly `keep` beams spread
+/// over the fan when the beam count is prime; the rest read max range.
+fn thinned(scan: &LaserScan, keep: usize) -> LaserScan {
+    let beams = scan.ranges.len();
+    let ranges = (0..beams)
+        .map(|i| {
+            if i * keep % beams < keep {
+                scan.ranges[i]
+            } else {
+                scan.max_range
+            }
+        })
+        .collect();
+    LaserScan::new(scan.angle_min, scan.angle_increment, ranges, scan.max_range)
 }
 
 #[test]
@@ -81,6 +100,42 @@ fn steady_state_step_allocates_nothing() {
         assert_eq!(
             events, 0,
             "steady-state correction (health {health:?}) must not touch the heap"
+        );
+    }
+
+    // Each scan below has more valid points than any before it (all below
+    // `max_points`), a new high-water mark of every buffer; the default
+    // rescue score of 1.0 runs the correlative search on every correction,
+    // so the mark reaches the matcher's tables too.
+    let config = CartoLocalizerConfig::default();
+    assert!(config.correlative_rescue_score >= 1.0);
+    let keeps = [30, 50, 70, 90, 110];
+    assert!(keeps.iter().all(|&k| k < config.max_points));
+    let mut loc = CartoLocalizer::from_artifacts(&artifacts, config);
+    loc.reset(track.start_pose());
+    drive(&mut loc, &thinned(&scan, keeps[0]), 4, 0);
+    let mut odom_pose = Pose2::IDENTITY;
+    for (i, &keep) in keeps.iter().enumerate().skip(1) {
+        let sparse = thinned(&scan, keep);
+        assert_eq!(sparse.valid_returns().count(), keep);
+        odom_pose = odom_pose * Pose2::new(0.01, 0.0, 0.002);
+        let odom = Odometry::new(
+            odom_pose,
+            Twist2::new(0.4, 0.0, 0.08),
+            (4 + i) as f64 * 0.025,
+        );
+        let (events, ()) = alloc_events(|| {
+            loc.predict(&odom);
+            loc.correct(&sparse);
+        });
+        assert_eq!(
+            events, 0,
+            "the first scan with {keep} valid points must not touch the heap"
+        );
+        let stages = loc.diagnostics().stages;
+        assert!(
+            stages.iter().any(|(name, _)| name == "correlative"),
+            "the correlative rescue ran: {stages:?}"
         );
     }
 }
