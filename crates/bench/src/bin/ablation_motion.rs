@@ -25,8 +25,11 @@ fn main() {
     println!("{}", table_header());
     let track = test_track();
     // One shared artifact bundle: every filter instance reuses the same
-    // EDT and lazily-built range LUT instead of cloning a dense table.
+    // EDT and range LUT instead of cloning a dense table. The table is
+    // filled before the first cell so that no row's correction times
+    // include LUT fills.
     let artifacts = track_artifacts(&track);
+    artifacts.lut().fill_all();
     for (name, motion) in [
         ("SynPF-tum", MotionConfig::Tum(TumMotionModel::default())),
         (

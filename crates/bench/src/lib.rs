@@ -90,7 +90,8 @@ pub enum OdomSource {
 
 /// Builds the shared artifact bundle (grid + EDT + lazy LUT) for a track
 /// at the paper's range parameters (10 m, 72 θ-bins). Clone the `Arc` to
-/// share one build between several localizer instances.
+/// share one build between several localizer instances. The LUT fills a
+/// cell on first touch; call `lut().fill_all()` where queries are timed.
 pub fn track_artifacts(track: &Track) -> Arc<MapArtifacts> {
     Arc::new(MapArtifacts::build(&track.grid, ArtifactParams::default()))
 }
@@ -104,9 +105,10 @@ pub fn build_synpf(track: &Track, seed: u64) -> SynPf<Arc<MapArtifacts>> {
 /// [`build_synpf`] with an explicit worker-thread count for the fused
 /// particle pipeline (results are identical for every value).
 ///
-/// The range LUT is built here, up front, so the cold start is paid by the
-/// constructor and not by the first correction: per-correction latency and
-/// load figures then describe the steady state only.
+/// The whole range LUT is filled here, up front, so the cold start is paid
+/// by the constructor and not by the corrections that would otherwise fill
+/// it cell by cell: per-correction latency and load figures (Table I's
+/// load gate) then describe the steady state only.
 pub fn build_synpf_threaded(track: &Track, seed: u64, threads: usize) -> SynPf<Arc<MapArtifacts>> {
     let config = SynPfConfig::builder()
         .seed(seed)
@@ -114,7 +116,7 @@ pub fn build_synpf_threaded(track: &Track, seed: u64, threads: usize) -> SynPf<A
         .build()
         .expect("paper configuration is valid");
     let artifacts = track_artifacts(track);
-    artifacts.lut();
+    artifacts.lut().fill_all();
     SynPf::from_artifacts(artifacts, config)
 }
 

@@ -53,7 +53,7 @@ impl FleetCtx {
     /// Builds every map of the spec and its artifact bundle (the
     /// expensive, run-once part of a fleet). Bundles come out of one
     /// [`ArtifactStore`], so specs listing the same map twice share a
-    /// single EDT + LUT build.
+    /// single EDT and LUT.
     pub fn build(spec: &FleetSpec) -> Self {
         let store = ArtifactStore::new();
         Self {

@@ -115,6 +115,7 @@ catalog! {
     RANGE_ARTIFACTS_CACHED = "range.artifacts.cached";
     RANGE_ARTIFACTS_HITS = "range.artifacts.hits";
     RANGE_ARTIFACTS_LUTS_BUILT = "range.artifacts.luts_built";
+    RANGE_LUT_CELLS_FILLED = "range.lut.cells_filled";
     RANGE_LUT_COMPRESSED_BYTES = "range.lut.compressed_bytes";
     RANGE_QUERIES = "range.queries";
 

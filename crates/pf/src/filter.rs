@@ -283,8 +283,9 @@ impl SynPf<Arc<MapArtifacts>> {
     /// service-oriented constructor: N filters on one track share a single
     /// grid/EDT/LUT build (see [`raceloc_range::ArtifactStore`]).
     ///
-    /// Sensor-range queries delegate to the bundle's lazily built LUT (the
-    /// paper's constant-time CPU configuration).
+    /// Sensor-range queries delegate to the bundle's LUT (the paper's
+    /// constant-time CPU configuration), which marches each cell's fan the
+    /// first time a particle lands in it.
     ///
     /// # Panics
     ///

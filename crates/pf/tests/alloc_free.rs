@@ -14,7 +14,8 @@ use raceloc_core::sensor_data::{LaserScan, Odometry};
 use raceloc_core::{Pose2, Twist2};
 use raceloc_map::{TrackShape, TrackSpec};
 use raceloc_pf::{SynPf, SynPfConfig};
-use raceloc_range::{RangeMethod, RayMarching};
+use raceloc_range::{ArtifactParams, MapArtifacts, RangeMethod, RayMarching};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -29,7 +30,12 @@ fn alloc_events<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// Runs `steps` predict/correct steps, cycling through `scans`. Returns
 /// the lowest recovery ratio `w_fast / w_slow` seen after a correction
 /// (1 when recovery is off).
-fn drive_cycling(pf: &mut SynPf<RayMarching>, scans: &[LaserScan], steps: usize, t0: usize) -> f64 {
+fn drive_cycling<M: RangeMethod + 'static>(
+    pf: &mut SynPf<M>,
+    scans: &[LaserScan],
+    steps: usize,
+    t0: usize,
+) -> f64 {
     let mut odom_pose = Pose2::IDENTITY;
     let mut min_ratio = 1.0f64;
     for (i, scan) in scans.iter().cycle().take(steps).enumerate() {
@@ -146,5 +152,35 @@ fn steady_state_step_allocates_nothing() {
     assert_eq!(
         events, 0,
         "recovery-enabled steady-state step must not touch the heap"
+    );
+
+    // The same recovery run on a shared artifact bundle, whose range LUT
+    // marches a cell's heading fan the first time a query lands in it:
+    // injected particles land in cells no query has touched yet, so fills
+    // run inside the measured window, and a fill allocates nothing.
+    let artifacts = Arc::new(MapArtifacts::build(&track.grid, ArtifactParams::default()));
+    let config = SynPfConfig::builder()
+        .particles(600)
+        .seed(9)
+        .build()
+        .expect("valid config");
+    let mut pf = SynPf::from_artifacts(Arc::clone(&artifacts), config);
+    pf.enable_recovery(&track.grid);
+    pf.reset(track.start_pose());
+    drive_cycling(&mut pf, &scans, 8, 0);
+
+    let filled = artifacts.lut().cells_filled();
+    let (events, min_ratio) = alloc_events(|| drive_cycling(&mut pf, &scans, 20, 8));
+    assert!(
+        600.0 * (1.0 - min_ratio) >= 1.0,
+        "recovery injection never fired (min w_fast/w_slow {min_ratio})"
+    );
+    assert!(
+        artifacts.lut().cells_filled() > filled,
+        "no LUT cell was filled in the measured window"
+    );
+    assert_eq!(
+        events, 0,
+        "filling LUT cells on first touch must not touch the heap"
     );
 }

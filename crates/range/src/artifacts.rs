@@ -10,11 +10,15 @@
 //! parameters — two grids with identical cells but different resolution
 //! describe different worlds and must not collide.
 //!
-//! The range LUT inside a bundle is built *lazily* (first use), because the
-//! EDT-only consumers (Cartographer-style scan matchers, diagnostics) should
-//! not pay the `O(cells × θ-bins × cast)` construction cost. Laziness is
-//! still share-correct: `OnceLock` guarantees exactly one build per bundle
-//! no matter how many sessions race on first touch.
+//! The range LUT inside a bundle is lazy at two levels. The table itself
+//! is allocated on the first range query, so EDT-only consumers
+//! (Cartographer-style scan matchers, diagnostics) allocate nothing; a
+//! `OnceLock` makes that exactly one table per bundle however many
+//! sessions race on first touch. Then each cell's heading fan is marched
+//! the first time a query lands in that cell (see [`CompressedRangeLut`]),
+//! so a session pays for the few thousand cells its particles visit, not
+//! the `O(cells × θ-bins × cast)` whole-table build. Fills are
+//! share-correct too: racing sessions store identical codes.
 //!
 //! # Examples
 //!
@@ -34,8 +38,9 @@
 //! assert!(std::sync::Arc::ptr_eq(&a, &b));
 //! assert_eq!(store.builds(), 1);
 //! assert_eq!(store.hits(), 1);
-//! let r = a.range(0.55, 2.0, 0.0); // lazily builds the LUT on first query
+//! let r = a.range(0.55, 2.0, 0.0); // allocates the LUT, fills one cell
 //! assert!((r - 2.95).abs() < 0.25, "{r}");
+//! assert_eq!(a.lut().cells_filled(), 1);
 //! ```
 
 use crate::{CompressedRangeLut, RangeMethod, RayMarching};
@@ -88,14 +93,16 @@ impl ArtifactParams {
 
 /// The shared immutable bundle of per-map derived structures: a
 /// [`RayMarching`] caster owning the occupancy grid and its exact EDT
-/// (eager) + range LUT (lazy, marched once on first query by that caster).
+/// (eager) + range LUT (allocated on first query, each cell's fan marched
+/// by that caster on first touch).
 ///
 /// Implements [`RangeMethod`] by delegating to the LUT, so existing generic
 /// consumers (`SynPf<Arc<MapArtifacts>>`, the batch drivers) work through
 /// the [`Arc`] blanket impl unchanged.
 #[derive(Debug)]
 pub struct MapArtifacts {
-    caster: RayMarching,
+    /// Shared with the LUT, which marches its fills on it.
+    caster: Arc<RayMarching>,
     lut: OnceLock<CompressedRangeLut>,
     params: ArtifactParams,
     key: u64,
@@ -109,8 +116,8 @@ impl MapArtifacts {
     /// # Panics
     ///
     /// Panics when `params.theta_bins == 0` or `params.max_range` is not
-    /// positive/finite (validated up front so the lazy LUT build cannot
-    /// fail later, mid-batch).
+    /// positive/finite (validated up front so the lazy LUT cannot fail
+    /// later, mid-batch).
     pub fn build(grid: &OccupancyGrid, params: ArtifactParams) -> Self {
         assert!(params.theta_bins > 0, "theta_bins must be positive");
         assert!(
@@ -119,7 +126,7 @@ impl MapArtifacts {
         );
         let key = Self::content_key(grid, params);
         Self {
-            caster: RayMarching::new(grid, params.max_range),
+            caster: Arc::new(RayMarching::new(grid, params.max_range)),
             lut: OnceLock::new(),
             params,
             key,
@@ -143,16 +150,20 @@ impl MapArtifacts {
         self.caster.edt()
     }
 
-    /// The range LUT, building it on first call (exactly once per bundle,
-    /// even under concurrent first-touch). Since the SoA hot-path rework
-    /// this is the u16 [`CompressedRangeLut`]: half the f32 footprint, with
-    /// each cell's heading fan contiguous in memory.
+    /// The range LUT, allocated empty on first call (exactly once per
+    /// bundle, even under concurrent first touch). Each cell's fan is
+    /// marched when a query first lands in it; [`CompressedRangeLut::fill_all`]
+    /// fills the rest up front. This is the u16 [`CompressedRangeLut`]:
+    /// half the f32 footprint, with each cell's heading fan contiguous in
+    /// memory.
     pub fn lut(&self) -> &CompressedRangeLut {
-        self.lut
-            .get_or_init(|| CompressedRangeLut::marched(&self.caster, self.params.theta_bins))
+        self.lut.get_or_init(|| {
+            CompressedRangeLut::lazy(Arc::clone(&self.caster), self.params.theta_bins)
+        })
     }
 
-    /// True when the lazy LUT has already been built.
+    /// True when the lazy LUT has been allocated (its cells may still be
+    /// unfilled).
     pub fn lut_built(&self) -> bool {
         self.lut.get().is_some()
     }
@@ -171,7 +182,7 @@ impl MapArtifacts {
 impl RangeMethod for MapArtifacts {
     fn max_range(&self) -> f64 {
         // From params, not the LUT: answering "how far can the sensor see"
-        // must not trigger an expensive LUT build.
+        // must not allocate the LUT.
         self.params.max_range
     }
 
@@ -261,8 +272,8 @@ impl ArtifactStore {
         self.len() == 0
     }
 
-    /// Number of cached bundles whose lazy LUT has actually been built —
-    /// the "how many LUT builds did N sessions really pay" number.
+    /// Number of cached bundles whose lazy LUT has been allocated — the
+    /// "how many tables did N sessions really share" number.
     pub fn luts_built(&self) -> u64 {
         lock_unpoisoned(&self.state)
             .cache
@@ -273,9 +284,14 @@ impl ArtifactStore {
 
     /// Publishes cumulative store counters (`range.artifacts.builds`,
     /// `range.artifacts.hits`, `range.artifacts.cached`,
-    /// `range.artifacts.luts_built`, `range.lut.compressed_bytes`) into a
-    /// telemetry handle. Counters are cumulative totals; call once per
-    /// report.
+    /// `range.artifacts.luts_built`, `range.lut.compressed_bytes`,
+    /// `range.lut.cells_filled`) into a telemetry handle. Counters are
+    /// cumulative totals; call once per report.
+    ///
+    /// Cell fills are booked here, per store, and never per run: which of
+    /// several concurrent runs fills a shared cell first depends on
+    /// scheduling, while the set of cells filled after a given workload
+    /// does not.
     pub fn publish_stats(&self, tel: &Telemetry) {
         let state = lock_unpoisoned(&self.state);
         tel.add(names::RANGE_ARTIFACTS_BUILDS, state.builds);
@@ -285,6 +301,8 @@ impl ArtifactStore {
         tel.add(names::RANGE_ARTIFACTS_LUTS_BUILT, built.len() as u64);
         let bytes: usize = built.iter().map(|l| l.memory_bytes()).sum();
         tel.add(names::RANGE_LUT_COMPRESSED_BYTES, bytes as u64);
+        let filled: usize = built.iter().map(|l| l.cells_filled()).sum();
+        tel.add(names::RANGE_LUT_CELLS_FILLED, filled as u64);
     }
 }
 
@@ -293,7 +311,7 @@ mod tests {
     use super::*;
     use crate::testutil::{room_with_pillar, square_room};
     use raceloc_core::Point2;
-    use raceloc_map::CellState;
+    use raceloc_map::{CellState, GridIndex};
 
     fn params_small() -> ArtifactParams {
         ArtifactParams {
@@ -403,6 +421,66 @@ mod tests {
     }
 
     #[test]
+    fn first_range_fills_exactly_one_cell_and_allocates_no_memory() {
+        let art = MapArtifacts::build(&square_room(), params_small());
+        let lut = art.lut();
+        let allocated = art.memory_bytes();
+        assert_eq!(lut.cells_filled(), 0, "allocating the table fills nothing");
+        art.range(5.05, 5.05, 0.0);
+        assert_eq!(lut.cells_filled(), 1);
+        art.range(5.01, 5.09, 2.0); // same cell, another bin: no new fill
+        assert_eq!(lut.cells_filled(), 1);
+        art.range(-1.0, 5.05, 0.0); // out of map: no cell to fill
+        assert_eq!(lut.cells_filled(), 1);
+        assert_eq!(art.memory_bytes(), allocated);
+    }
+
+    /// Two threads race to fill every cell of one bundle, one through
+    /// `range` and one through the beam fan, released together by a
+    /// barrier and walking the cells in the same order so that they meet
+    /// on new cells; the table must end equal to the eager build.
+    #[test]
+    fn two_threads_filling_one_bundle_end_equal_to_the_eager_table() {
+        let g = room_with_pillar();
+        let art = MapArtifacts::build(&g, params_small());
+        let w = g.width();
+        let centres: Vec<Point2> = (0..w * g.height())
+            .map(|cell| g.index_to_world(GridIndex::new((cell % w) as i64, (cell / w) as i64)))
+            .collect();
+        art.lut(); // allocate the table before the race
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for p in &centres {
+                    art.range(p.x, p.y, 0.0);
+                }
+            });
+            s.spawn(|| {
+                let mut out = [0u32; 2];
+                start.wait();
+                for p in &centres {
+                    art.beam_bins_into(p.x, p.y, 1.0, &[0.0, 0.5], 20.0, 160, &mut out);
+                }
+            });
+        });
+        assert_eq!(art.lut().cells_filled(), centres.len());
+        let eager = CompressedRangeLut::new(&g, 8.0, 16);
+        for p in &centres {
+            for k in 0..16 {
+                let theta = k as f64 / 16.0 * std::f64::consts::TAU;
+                assert_eq!(
+                    art.range(p.x, p.y, theta).to_bits(),
+                    eager.range(p.x, p.y, theta).to_bits(),
+                    "({}, {}) bin {k}",
+                    p.x,
+                    p.y
+                );
+            }
+        }
+    }
+
+    #[test]
     fn range_method_delegation_matches_direct_lut() {
         let g = room_with_pillar();
         let art = MapArtifacts::build(&g, params_small());
@@ -442,6 +520,10 @@ mod tests {
             snap.counter(names::RANGE_LUT_COMPRESSED_BYTES.as_str()),
             Some(0)
         );
+        assert_eq!(
+            snap.counter(names::RANGE_LUT_CELLS_FILLED.as_str()),
+            Some(0)
+        );
         assert_eq!(store.luts_built(), 0, "no query ran, no LUT built");
     }
 
@@ -450,7 +532,7 @@ mod tests {
         let store = ArtifactStore::new();
         let g = square_room();
         let a = store.get_or_build(&g, params_small());
-        a.range(5.05, 5.05, 0.0); // force the lazy LUT build
+        a.range(5.05, 5.05, 0.0); // allocates the LUT, fills one cell
         let tel = Telemetry::enabled();
         store.publish_stats(&tel);
         let snap = tel.snapshot();
@@ -461,6 +543,10 @@ mod tests {
         assert_eq!(
             snap.counter(names::RANGE_LUT_COMPRESSED_BYTES.as_str()),
             Some((100 * 100 * 16 * 2) as u64),
+        );
+        assert_eq!(
+            snap.counter(names::RANGE_LUT_CELLS_FILLED.as_str()),
+            Some(1)
         );
     }
 

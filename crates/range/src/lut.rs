@@ -5,17 +5,24 @@
 //! space stores its range, so a query is a single memory read — constant
 //! time at the cost of `cells × θ-bins` floats.
 //!
-//! Construction casts every cell centre's heading fan on a
-//! [`RayMarching`] caster, which marches a block of rays in interleaved
-//! rounds: `sin_cos` runs once per heading bin, each cell's first probe
-//! once per cell, and fans from opaque cells are skipped (their ranges
-//! are 0). The table is byte-identical to querying the same caster one
-//! ray at a time through `from_method`.
+//! A table is filled one cell at a time: a cell centre's heading fan is
+//! cast on a [`RayMarching`] caster, which marches a block of rays in
+//! interleaved rounds. `sin_cos` runs once per heading bin per table, each
+//! cell's first probe once per cell, and fans from opaque cells are
+//! skipped (their ranges are 0). [`RangeLut::new`] and
+//! [`CompressedRangeLut::new`] fill every cell before they return; the
+//! [`CompressedRangeLut`] of a [`MapArtifacts`](crate::MapArtifacts)
+//! bundle fills a cell the first time a query lands in it, so a cold start
+//! pays only for the cells its particles visit. Either way the table is
+//! byte-identical to querying the same caster one ray at a time through
+//! `from_method`.
 
+use crate::raymarch::fan_dirs;
 use crate::{RangeMethod, RayMarching};
 use raceloc_map::OccupancyGrid;
 use std::f64::consts::TAU;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A dense `(θ, row, col) → range` lookup table.
 ///
@@ -61,13 +68,14 @@ impl RangeLut {
     pub fn new(grid: &OccupancyGrid, max_range: f64, theta_bins: usize) -> Self {
         let caster = RayMarching::new(grid, max_range);
         let mut lut = Self::zeroed(grid, max_range, theta_bins);
+        let dirs = fan_dirs(theta_bins);
         let cells = lut.width * lut.height;
-        let table = &mut lut.table;
-        caster.cell_fans(
-            theta_bins,
-            |cell, k| k * cells + cell,
-            |slot, range| table[slot] = range as f32,
-        );
+        for cell in 0..cells {
+            let table = &mut lut.table;
+            caster.cell_fan(&dirs, cell, |k, range| {
+                table[k * cells + cell] = range as f32
+            });
+        }
         lut
     }
 
@@ -148,9 +156,10 @@ impl RangeMethod for RangeLut {
 }
 
 /// A dense range LUT quantized to u16 fixed-point against `max_range`,
-/// stored *cell-major* so one particle's whole beam fan is cache-resident.
+/// stored *cell-major* so one particle's whole beam fan is cache-resident,
+/// and filled one cell at a time.
 ///
-/// Two deliberate differences from [`RangeLut`]:
+/// Three deliberate differences from [`RangeLut`]:
 ///
 /// - **Quantization.** Each entry is `round(range / max_range · 65535)`;
 ///   decoding multiplies by `scale = max_range / 65535` (≈ 0.15 mm at the
@@ -163,6 +172,18 @@ impl RangeMethod for RangeLut {
 ///   lines), so the fused cast+weight kernel — 60 beams fanned from one
 ///   sensor cell — touches a handful of lines instead of 60 theta-major
 ///   planes 2 MB apart.
+/// - **Fill on first touch.** The table of a
+///   [`MapArtifacts`](crate::MapArtifacts) bundle starts empty and
+///   marches a cell's heading fan the first time a query lands in that
+///   cell; a particle cloud touches a few thousand of a track's ~40 k free
+///   cells. A fill stores the fan's codes (Relaxed) and then the cell's
+///   ready flag (Release); a query that loads the flag (Acquire) sees the
+///   whole fan. Two threads that touch a new cell at once both march it
+///   and store identical codes, so no result depends on which fills
+///   first, and every entry is bit-identical to the eager build.
+///   [`CompressedRangeLut::new`] and [`CompressedRangeLut::from_method`]
+///   fill every cell up front; [`CompressedRangeLut::fill_all`] fills the
+///   rest of a lazy table.
 ///
 /// # Examples
 ///
@@ -190,31 +211,24 @@ pub struct CompressedRangeLut {
     /// Decode factor: `max_range / 65535`.
     scale: f64,
     /// Layout: `table[(row, col)][theta]` flattened (cell-major).
-    table: Vec<u16>,
+    table: Box<[AtomicU16]>,
+    /// One flag per cell, set once the cell's heading fan is in `table`.
+    ready: Box<[AtomicBool]>,
+    /// Marches unfilled cells; `None` when every cell was filled at
+    /// construction.
+    filler: Option<Filler>,
     /// Lazily built code → sensor-bin table for the fused beam fan (see
     /// [`BinCache`]); keyed by the first `(inv_res, max_bin)` pair seen.
     bin_cache: OnceLock<BinCache>,
 }
 
-impl Clone for CompressedRangeLut {
-    fn clone(&self) -> Self {
-        let bin_cache = OnceLock::new();
-        if let Some(c) = self.bin_cache.get() {
-            let _ = bin_cache.set(c.clone());
-        }
-        Self {
-            width: self.width,
-            height: self.height,
-            theta_bins: self.theta_bins,
-            resolution: self.resolution,
-            origin_x: self.origin_x,
-            origin_y: self.origin_y,
-            max_range: self.max_range,
-            scale: self.scale,
-            table: self.table.clone(),
-            bin_cache,
-        }
-    }
+/// What a lazily filled table marches a cell's fan with: the caster it
+/// shares with its [`MapArtifacts`](crate::MapArtifacts) bundle, and the
+/// heading bins' unit directions.
+#[derive(Debug)]
+struct Filler {
+    caster: Arc<RayMarching>,
+    dirs: Box<[(f64, f64)]>,
 }
 
 /// Precomputed `u16 range code → sensor range bin` map for one
@@ -222,7 +236,7 @@ impl Clone for CompressedRangeLut {
 /// `((decode(code) · inv_res) as u32).min(max_bin)`, so the fused beam fan
 /// replaces its per-beam decode/convert/clamp float chain with a single
 /// indexed load while producing bit-identical bins.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct BinCache {
     inv_res_bits: u64,
     max_bin: u32,
@@ -240,21 +254,21 @@ impl CompressedRangeLut {
     ///
     /// Panics when `theta_bins == 0` or `max_range` is not positive/finite.
     pub fn new(grid: &OccupancyGrid, max_range: f64, theta_bins: usize) -> Self {
-        Self::marched(&RayMarching::new(grid, max_range), theta_bins)
+        let mut lut = Self::lazy(Arc::new(RayMarching::new(grid, max_range)), theta_bins);
+        lut.fill_all();
+        // Every cell is filled: the caster has no work left.
+        lut.filler = None;
+        lut
     }
 
-    /// [`CompressedRangeLut::new`] on an already-built caster, which
-    /// fixes the grid and `max_range`.
-    pub(crate) fn marched(caster: &RayMarching, theta_bins: usize) -> Self {
-        let mut lut = Self::zeroed(caster.grid(), caster.max_range(), theta_bins);
-        let (bins, encode) = (theta_bins, lut.encode());
-        let max_range = lut.max_range;
-        let table = &mut lut.table;
-        caster.cell_fans(
-            theta_bins,
-            |cell, k| cell * bins + k,
-            |slot, range| table[slot] = (range.clamp(0.0, max_range) * encode).round() as u16,
-        );
+    /// An empty table over `caster`'s grid and `max_range` that marches
+    /// each cell's fan on that caster the first time a query lands in it.
+    pub(crate) fn lazy(caster: Arc<RayMarching>, theta_bins: usize) -> Self {
+        let mut lut = Self::empty(caster.grid(), caster.max_range(), theta_bins);
+        lut.filler = Some(Filler {
+            caster,
+            dirs: fan_dirs(theta_bins),
+        });
         lut
     }
 
@@ -270,27 +284,26 @@ impl CompressedRangeLut {
         method: &M,
         theta_bins: usize,
     ) -> Self {
-        let mut lut = Self::zeroed(grid, method.max_range(), theta_bins);
+        let lut = Self::empty(grid, method.max_range(), theta_bins);
         let (w, h) = (lut.width, lut.height);
         let (res, origin) = (lut.resolution, grid.origin());
-        let (max_range, encode) = (lut.max_range, lut.encode());
         for r in 0..h {
             let y = origin.y + (r as f64 + 0.5) * res;
             for c in 0..w {
                 let x = origin.x + (c as f64 + 0.5) * res;
-                let base = (r * w + c) * theta_bins;
-                for k in 0..theta_bins {
+                let cell = r * w + c;
+                for (k, code) in lut.cell_codes(cell).iter().enumerate() {
                     let theta = k as f64 / theta_bins as f64 * TAU;
-                    let range = method.range(x, y, theta).clamp(0.0, max_range);
-                    lut.table[base + k] = (range * encode).round() as u16;
+                    code.store(lut.code(method.range(x, y, theta)), Ordering::Relaxed);
                 }
+                lut.ready[cell].store(true, Ordering::Release);
             }
         }
         lut
     }
 
-    /// An all-zero table over `grid`'s geometry.
-    fn zeroed(grid: &OccupancyGrid, max_range: f64, theta_bins: usize) -> Self {
+    /// An all-zero table over `grid`'s geometry with no cell filled.
+    fn empty(grid: &OccupancyGrid, max_range: f64, theta_bins: usize) -> Self {
         assert!(theta_bins > 0, "theta_bins must be positive");
         assert!(
             max_range.is_finite() && max_range > 0.0,
@@ -307,14 +320,71 @@ impl CompressedRangeLut {
             origin_y: origin.y,
             max_range,
             scale: max_range / f64::from(u16::MAX),
-            table: vec![0u16; w * h * theta_bins],
+            table: (0..w * h * theta_bins).map(|_| AtomicU16::new(0)).collect(),
+            ready: (0..w * h).map(|_| AtomicBool::new(false)).collect(),
+            filler: None,
             bin_cache: OnceLock::new(),
         }
     }
 
-    /// The encode factor `65535 / max_range`.
-    fn encode(&self) -> f64 {
-        f64::from(u16::MAX) / self.max_range
+    /// The u16 code of a range: `round(range / max_range · 65535)` after
+    /// clamping to `[0, max_range]`.
+    fn code(&self, range: f64) -> u16 {
+        (range.clamp(0.0, self.max_range) * (f64::from(u16::MAX) / self.max_range)).round() as u16
+    }
+
+    /// The codes of `cell`'s heading fan, as stored: possibly unfilled.
+    fn cell_codes(&self, cell: usize) -> &[AtomicU16] {
+        let base = cell * self.theta_bins;
+        &self.table[base..base + self.theta_bins]
+    }
+
+    /// The codes of `cell`'s heading fan, marched first if no query has
+    /// touched the cell yet.
+    #[inline(always)]
+    fn fan(&self, cell: usize) -> &[AtomicU16] {
+        if !self.ready[cell].load(Ordering::Acquire) {
+            self.fill(cell);
+        }
+        self.cell_codes(cell)
+    }
+
+    /// Marches `cell`'s heading fan into the table and marks it filled.
+    /// Allocates nothing.
+    #[cold]
+    #[inline(never)]
+    fn fill(&self, cell: usize) {
+        // Only `lazy` tables leave cells unfilled, and they have a filler.
+        let Some(filler) = &self.filler else {
+            return;
+        };
+        let codes = self.cell_codes(cell);
+        filler.caster.cell_fan(&filler.dirs, cell, |k, range| {
+            codes[k].store(self.code(range), Ordering::Relaxed);
+        });
+        self.ready[cell].store(true, Ordering::Release);
+    }
+
+    /// Fills every cell that no query has touched yet, so that no later
+    /// query pays a fill: the whole-table build behind
+    /// [`CompressedRangeLut::new`], and the prefill for callers that time
+    /// steady-state queries only.
+    pub fn fill_all(&self) {
+        for (cell, ready) in self.ready.iter().enumerate() {
+            if !ready.load(Ordering::Acquire) {
+                self.fill(cell);
+            }
+        }
+    }
+
+    /// Number of cells whose heading fan is in the table. An opaque
+    /// cell's fan is all zeros; it counts once a query or a fill has
+    /// touched it.
+    pub fn cells_filled(&self) -> usize {
+        self.ready
+            .iter()
+            .filter(|ready| ready.load(Ordering::Relaxed))
+            .count()
     }
 
     /// Number of heading bins.
@@ -366,8 +436,8 @@ impl RangeMethod for CompressedRangeLut {
         }
         // Nearest heading bin (bins are centred on k·2π/K).
         let k = (phi / TAU * self.theta_bins as f64).round() as usize % self.theta_bins;
-        let idx = (r as usize * self.width + c as usize) * self.theta_bins + k;
-        f64::from(self.table[idx]) * self.scale
+        let fan = self.fan(r as usize * self.width + c as usize);
+        f64::from(fan[k].load(Ordering::Relaxed)) * self.scale
     }
 
     fn beam_bins_into(
@@ -395,8 +465,7 @@ impl RangeMethod for CompressedRangeLut {
             out.fill(0);
             return;
         }
-        let base = (r * self.width + c) * self.theta_bins;
-        let row = &self.table[base..base + self.theta_bins];
+        let row = self.fan(r * self.width + c);
         // One-division range reduction instead of libm `fmod`: the result
         // can land one ULP outside [0, 2π), which the index wrap below
         // absorbs (same one-bin boundary wobble as the fused rounding).
@@ -454,7 +523,7 @@ impl RangeMethod for CompressedRangeLut {
                 for o in out.iter_mut() {
                     // `min` proves the index in-bounds (the wrap above
                     // already bounds it), eliding the panic branch.
-                    let code = row[(*o as usize).min(last)];
+                    let code = row[(*o as usize).min(last)].load(Ordering::Relaxed);
                     *o = u32::from(cache.bins[usize::from(code)]);
                 }
             } else {
@@ -465,21 +534,23 @@ impl RangeMethod for CompressedRangeLut {
                     k += kn & (k >> 63);
                     k -= kn * i64::from(k >= kn);
                     k -= kn * i64::from(k >= kn);
-                    let e = f64::from(row[k as usize]) * self.scale;
+                    let e = f64::from(row[k as usize].load(Ordering::Relaxed)) * self.scale;
                     *o = ((e * inv_res) as u32).min(max_bin);
                 }
             }
         } else {
             for (o, &b) in out.iter_mut().zip(bearings) {
                 let k = ((phik + b * kb).round() as i64).rem_euclid(kn) as usize;
-                let e = f64::from(row[k]) * self.scale;
+                let e = f64::from(row[k].load(Ordering::Relaxed)) * self.scale;
                 *o = ((e * inv_res) as u32).min(max_bin);
             }
         }
     }
 
+    /// The code table's bytes; the per-cell ready flags add one byte per
+    /// cell on top (under 1 % at 72 heading bins).
     fn memory_bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<u16>()
+        self.table.len() * std::mem::size_of::<AtomicU16>()
     }
 }
 

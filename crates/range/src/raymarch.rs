@@ -9,7 +9,7 @@
 
 use crate::RangeMethod;
 use raceloc_core::Point2;
-use raceloc_map::{DistanceMap, OccupancyGrid};
+use raceloc_map::{DistanceMap, GridIndex, OccupancyGrid};
 use std::f64::consts::TAU;
 
 /// Rays in flight per marching round: enough independent chains to hide
@@ -212,53 +212,48 @@ impl RayMarching {
         None
     }
 
-    /// Casts the heading fan of every cell centre — heading bin `k` at
-    /// `k / theta_bins · 2π`, cells row-major — and hands each range to
-    /// `emit` at `slot(cell, k)`; the range-LUT build. `sin_cos` runs once
-    /// per bin, and each cell's first probe once per cell: at `t = 0` every
-    /// ray of the fan samples the cell centre. Fans from opaque cells,
-    /// whose every range is 0, are skipped without an `emit`.
-    pub(crate) fn cell_fans(
-        &self,
-        theta_bins: usize,
-        slot: impl Fn(usize, usize) -> usize,
-        emit: impl FnMut(usize, f64),
-    ) {
-        let dirs: Vec<(f64, f64)> = (0..theta_bins)
-            .map(|k| {
-                let (s, c) = (k as f64 / theta_bins as f64 * TAU).sin_cos();
-                (c, s)
-            })
-            .collect();
-        let (w, h) = (self.grid.width(), self.grid.height());
-        let res = self.grid.resolution();
-        let origin = self.grid.origin();
-        let (c0, s0) = dirs[0];
-        let slot = &slot;
-        let dirs = &dirs;
-        let rays = (0..h)
-            .flat_map(|r| (0..w).map(move |c| (r, c)))
-            .filter_map(|(r, c)| {
-                let y = origin.y + (r as f64 + 0.5) * res;
-                let x = origin.x + (c as f64 + 0.5) * res;
-                // `x + c·0 == x` for every finite direction, so bin 0's
-                // first probe is every bin's.
-                let t = self.probe(x, y, c0, s0, 0.0)?;
-                Some((r * w + c, x, y, t))
-            })
-            .flat_map(move |(cell, x, y, t)| {
-                dirs.iter().enumerate().map(move |(k, &(c, s))| Ray {
-                    x,
-                    y,
-                    c,
-                    s,
-                    t,
-                    steps: 1,
-                    slot: slot(cell, k),
-                })
-            });
+    /// Casts the heading fan of one cell centre — `cell` row-major in
+    /// [`RayMarching::grid`], ray `k` along `dirs[k]`, a `(cos, sin)` pair
+    /// from [`fan_dirs`] — and hands each range to `emit` with its `k`.
+    /// Every range-LUT fill runs through here, one cell at a time. The
+    /// fan's first probe runs once: at `t = 0` every ray samples the cell
+    /// centre. A fan from an opaque cell, whose every range is 0, returns
+    /// without an `emit`.
+    pub(crate) fn cell_fan(&self, dirs: &[(f64, f64)], cell: usize, emit: impl FnMut(usize, f64)) {
+        let w = self.grid.width();
+        let Point2 { x, y } = self
+            .grid
+            .index_to_world(GridIndex::new((cell % w) as i64, (cell / w) as i64));
+        let Some(&(c0, s0)) = dirs.first() else {
+            return;
+        };
+        // `x + c·0 == x` for every finite direction, so bin 0's first
+        // probe is every bin's.
+        let Some(t) = self.probe(x, y, c0, s0, 0.0) else {
+            return;
+        };
+        let rays = dirs.iter().enumerate().map(|(k, &(c, s))| Ray {
+            x,
+            y,
+            c,
+            s,
+            t,
+            steps: 1,
+            slot: k,
+        });
         self.march(rays, emit);
     }
+}
+
+/// The unit directions `(cos, sin)` of `theta_bins` heading bins, bin `k`
+/// at `k / theta_bins · 2π`: computed once per table, not once per fan.
+pub(crate) fn fan_dirs(theta_bins: usize) -> Box<[(f64, f64)]> {
+    (0..theta_bins)
+        .map(|k| {
+            let (s, c) = (k as f64 / theta_bins as f64 * TAU).sin_cos();
+            (c, s)
+        })
+        .collect()
 }
 
 impl RangeMethod for RayMarching {

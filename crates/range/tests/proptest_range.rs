@@ -6,7 +6,8 @@ use proptest::prelude::*;
 use raceloc_core::Point2;
 use raceloc_map::{CellState, GridIndex, OccupancyGrid, TrackShape, TrackSpec};
 use raceloc_range::{
-    BresenhamCasting, Cddt, CompressedRangeLut, RangeLut, RangeMethod, RayMarching,
+    ArtifactParams, BresenhamCasting, Cddt, CompressedRangeLut, MapArtifacts, RangeLut,
+    RangeMethod, RayMarching,
 };
 
 /// A random wall-enclosed room with scattered interior obstacles.
@@ -343,6 +344,45 @@ proptest! {
         bins in 1usize..80,
     ) {
         assert_luts_match_per_query_build(&g, 8.0, bins);
+    }
+
+    /// A bundle's table fills a cell on the first query that lands in it,
+    /// through `range` or the beam fan. Queried in a random order, every
+    /// filled fan must equal the per-query build on the same caster bit
+    /// for bit, and so must the whole table after `fill_all`.
+    #[test]
+    fn lazily_filled_lut_equals_the_per_query_build_bitwise(
+        g in arb_room(),
+        bins in 1usize..80,
+        touches in prop::collection::vec((0.0..1.0f64, 0.0..1.0f64, -7.0..7.0f64), 1..48),
+    ) {
+        let max_range = 8.0;
+        let params = ArtifactParams { max_range, theta_bins: bins };
+        let art = MapArtifacts::build(&g, params);
+        let want = CompressedRangeLut::from_method(&g, &RayMarching::new(&g, max_range), bins);
+        let mut cells = std::collections::BTreeSet::new();
+        let mut out = [0u32; 3];
+        for (i, &(fx, fy, theta)) in touches.iter().enumerate() {
+            let idx = GridIndex::new(
+                (fx * g.width() as f64) as i64,
+                (fy * g.height() as f64) as i64,
+            );
+            let p = g.index_to_world(idx);
+            if i % 2 == 0 {
+                art.range(p.x, p.y, theta);
+            } else {
+                art.beam_bins_into(p.x, p.y, theta, &[-1.0, 0.0, 1.0], 30.0, 240, &mut out);
+            }
+            cells.insert((idx.col, idx.row));
+            prop_assert_eq!(art.lut().cells_filled(), cells.len());
+            for k in 0..bins {
+                let t = k as f64 / bins as f64 * std::f64::consts::TAU;
+                prop_assert_eq!(art.range(p.x, p.y, t).to_bits(), want.range(p.x, p.y, t).to_bits());
+            }
+        }
+        art.lut().fill_all();
+        prop_assert_eq!(art.lut().cells_filled(), g.width() * g.height());
+        assert_same_table(&g, bins, &art, &want);
     }
 }
 

@@ -18,9 +18,10 @@
 //! deployment shape (DESIGN.md §13):
 //!
 //! - **Shared artifacts** — sessions on the same track resolve one cached
-//!   [`raceloc_range::MapArtifacts`] bundle (grid + EDT + lazily built
-//!   range LUT) from the engine's [`raceloc_range::ArtifactStore`], keyed
-//!   by a geometry-covering content hash. N sessions, one LUT build.
+//!   [`raceloc_range::MapArtifacts`] bundle (grid + EDT + a range LUT
+//!   filled cell by cell on first touch) from the engine's
+//!   [`raceloc_range::ArtifactStore`], keyed by a geometry-covering
+//!   content hash. N sessions, one table, each cell filled once.
 //! - **Session table** — [`SessionId`]-keyed slots, each with a private
 //!   deterministic RNG stream (`Rng64::stream` on the session id) and
 //!   per-session telemetry.

@@ -188,7 +188,7 @@ impl CartoLocalizer {
     /// service-oriented constructor. Only the bundle's occupancy grid is
     /// consumed (converted once to the matcher's smoothed probability
     /// field); the bundle's lazy range LUT is *not* touched, so
-    /// Cartographer-only sessions never pay a LUT build.
+    /// Cartographer-only sessions never allocate or fill it.
     ///
     /// The smoothed field is a Gaussian ridge on the wall surface, so
     /// gradient refinement works on thick wall bands.

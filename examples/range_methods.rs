@@ -31,7 +31,7 @@ fn main() {
     let cddt = Cddt::new(&track.grid, 10.0, 180);
     // The LUT row goes through the shared artifact bundle (the form every
     // localizer constructor now takes); its RangeMethod impl delegates to
-    // the lazily-built table.
+    // the table, which fills a cell on the first query that lands in it.
     let artifacts = MapArtifacts::build(&track.grid, ArtifactParams::default());
 
     println!(
