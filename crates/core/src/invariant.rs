@@ -4,9 +4,10 @@
 //!
 //! Clippy's forbid list keeps the hot paths from *panicking by accident*
 //! (no `unwrap`, `expect` or `panic!`, no `partial_cmp`); this module lets
-//! them *assert on purpose* in debug builds. [`debug_invariant!`] is the
-//! project-wide assertion macro: it documents a numeric contract at the
-//! point where it must hold (particle weights normalized, ranges within
+//! them *assert on purpose* in debug builds.
+//! [`debug_invariant!`](crate::debug_invariant!) is the project-wide
+//! assertion macro: it documents a numeric contract at the point where it
+//! must hold (particle weights normalized, ranges within
 //! the sensor envelope, optimized poses finite) and vanishes entirely from
 //! release binaries, so the paper's latency numbers (Table III) are
 //! measured on exactly the code that ships.
@@ -29,12 +30,14 @@
 /// `true` when invariant checks are compiled in (debug builds and
 /// `cargo test`), `false` in `--release`.
 ///
-/// Exposed as a `const` so [`debug_invariant!`] expands to an
-/// `if false { .. }` in release builds that the optimizer removes entirely,
-/// and so tests can assert the compile-time state they run under.
+/// Exposed as a `const` so [`debug_invariant!`](crate::debug_invariant!)
+/// expands to an `if false { .. }` in release builds that the optimizer
+/// removes entirely, and so tests can assert the compile-time state they
+/// run under.
 pub const ENABLED: bool = cfg!(debug_assertions);
 
-/// Cold failure path shared by every [`debug_invariant!`] expansion.
+/// Cold failure path shared by every
+/// [`debug_invariant!`](crate::debug_invariant!) expansion.
 ///
 /// Kept out-of-line so the in-line cost of a passing check is a single
 /// predictable branch.

@@ -151,7 +151,7 @@ impl Rng64 {
     /// The common case consumes one raw 64-bit output and costs two table
     /// loads and a compare; wedge and tail cases (≈ 2 % of draws) fall back
     /// to rejection sampling with `exp`/`ln`. The layer tables are built
-    /// once per process (see [`zig_tables`]) and shared by every generator,
+    /// once per process (see `zig_tables`) and shared by every generator,
     /// so the stream remains a pure function of the seed.
     #[inline]
     pub fn gaussian(&mut self) -> f64 {

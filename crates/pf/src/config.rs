@@ -23,7 +23,7 @@
 
 use std::fmt;
 
-use crate::filter::{MotionConfig, RecoveryConfig, SynPfConfig};
+use crate::{MotionConfig, RecoveryConfig, SynPfConfig};
 
 /// A rejected configuration value.
 #[derive(Debug, Clone, PartialEq, Eq)]

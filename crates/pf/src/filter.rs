@@ -8,15 +8,14 @@ use crate::kld::KldConfig;
 use crate::layout::ScanLayout;
 use crate::motion::{DiffDriveModel, TumMotionModel};
 use crate::parstep::{cast_weight_kernel, motion_kernel, JobKind, PfShared, StepJob};
+use crate::recovery::{FreeSpace, Recovery, RecoveryConfig};
 use crate::resample::{effective_sample_size, normalize, systematic_indices_into};
 use crate::sensor::{BeamModelConfig, BeamSensorModel};
 use crate::store::ParticleStore;
 use raceloc_core::localizer::Localizer;
 use raceloc_core::sensor_data::{LaserScan, Odometry};
-use raceloc_core::{
-    stream_keys, DeadlineController, Diagnostics, Health, HealthSignal, Pose2, Rng64, StepPlan,
-};
-use raceloc_map::{CellState, GridIndex, OccupancyGrid};
+use raceloc_core::{stream_keys, DeadlineController, Diagnostics, Health, Pose2, Rng64, StepPlan};
+use raceloc_map::OccupancyGrid;
 use raceloc_obs::Telemetry;
 use raceloc_par::{chunk_count, chunk_spans, PoolJob, WorkerPool, DEFAULT_CHUNK_MIN};
 use raceloc_range::{MapArtifacts, RangeMethod};
@@ -28,24 +27,6 @@ pub enum MotionConfig {
     DiffDrive(DiffDriveModel),
     /// The TUM high-speed model (what SynPF uses).
     Tum(TumMotionModel),
-}
-
-/// Configuration of augmented-MCL recovery.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryConfig {
-    /// Long-term likelihood EMA rate (0 < α_slow ≪ α_fast).
-    pub alpha_slow: f64,
-    /// Short-term likelihood EMA rate.
-    pub alpha_fast: f64,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        Self {
-            alpha_slow: 0.003,
-            alpha_fast: 0.1,
-        }
-    }
 }
 
 /// Configuration of a [`SynPf`] filter.
@@ -92,8 +73,9 @@ pub struct SynPfConfig {
     pub recovery: Option<RecoveryConfig>,
     /// Optional health monitoring (DESIGN.md §12): divergence detectors
     /// feed a Nominal → Degraded → Lost → Recovering state machine, with
-    /// stale-input rejection, hold-and-coast on uninformative scans, and
-    /// automatic global re-initialization on Lost. `None` (the default)
+    /// stale-input rejection, a hold of the last scored estimate on
+    /// uninformative scans (ROADMAP item 2), and automatic global
+    /// re-initialization on Lost. `None` (the default)
     /// disables every detector at zero cost in the steady-state step.
     pub health: Option<crate::health::HealthPolicy>,
     /// Optional deadline-aware adaptive compute (DESIGN.md §14): each
@@ -172,12 +154,8 @@ pub struct SynPf<M: RangeMethod> {
     rng: Rng64,
     last_odom: Option<Odometry>,
     estimate: Pose2,
-    /// Map to draw random recovery poses from (augmented MCL).
-    recovery_map: Option<RecoveryMap>,
-    /// Long-term mean-likelihood EMA (augmented MCL).
-    w_slow: f64,
-    /// Short-term mean-likelihood EMA (augmented MCL).
-    w_fast: f64,
+    /// Augmented-MCL injection, health detectors and Lost → re-init.
+    recovery: Recovery,
     // Scratch buffers reused across steps to stay allocation-free.
     log_w: Vec<f64>,
     /// Cached beam selection; recomputed only when the scan geometry
@@ -205,22 +183,6 @@ pub struct SynPf<M: RangeMethod> {
     motion_accum_seconds: f64,
     /// Per-stage timings of the last correction, for [`Localizer::diagnostics`].
     last_stages: Vec<(Cow<'static, str>, f64)>,
-    /// Health state machine (DESIGN.md §12); only fed when
-    /// [`SynPfConfig::health`] is set.
-    health_monitor: raceloc_core::HealthMonitor,
-    /// EMA mean of the per-step mean squashed log-likelihood.
-    lw_mean: f64,
-    /// EMA variance of the per-step mean squashed log-likelihood.
-    lw_var: f64,
-    /// Detector-internal slow mean-likelihood EMA (independent of the
-    /// augmented-MCL injection EMAs).
-    health_w_slow: f64,
-    /// Detector-internal fast mean-likelihood EMA.
-    health_w_fast: f64,
-    /// Corrections observed by the likelihood EMAs since the last (re)init.
-    health_steps: u32,
-    /// Detector mute countdown after an automatic global re-init.
-    reinit_holdoff: u32,
     /// Degradation-ladder controller (DESIGN.md §14); `None` without a
     /// configured [`SynPfConfig::deadline`].
     deadline: Option<DeadlineController>,
@@ -242,40 +204,26 @@ const RUNG_COUNTERS: [CounterName; raceloc_core::deadline::LADDER_LEN] = [
     names::DEADLINE_RUNG5,
 ];
 
-/// The free cells of `grid`, in grid iteration order.
-fn free_cells(grid: &OccupancyGrid) -> Vec<GridIndex> {
-    grid.iter()
-        .filter(|(_, s)| *s == CellState::Free)
-        .map(|(idx, _)| idx)
-        .collect()
-}
-
-/// The map random recovery poses are drawn from, with its free-cell list
-/// computed once when recovery is enabled — injection and automatic
-/// re-initialization draw from it every time they fire.
-#[derive(Debug, Clone)]
-struct RecoveryMap {
-    grid: OccupancyGrid,
-    free: Vec<GridIndex>,
-}
-
-impl RecoveryMap {
-    fn new(grid: OccupancyGrid) -> Self {
-        let free = free_cells(&grid);
-        Self { grid, free }
+/// [`SynPf::covariance`] of any cloud, around `est`.
+fn covariance(store: &ParticleStore, weights: &[f64], est: Pose2) -> (f64, f64, f64) {
+    let (se, ce) = est.theta.sin_cos();
+    let mut vx = 0.0;
+    let mut vy = 0.0;
+    let mut sin_sum = 0.0;
+    let mut cos_sum = 0.0;
+    // Lane streaming pass; sin/cos of (θ − est.θ) come from the
+    // maintained trig lanes via the angle-subtraction identities, so
+    // the reduction is transcendental-free.
+    for (i, &w) in weights.iter().enumerate().take(store.len()) {
+        let dx = store.x[i] - est.x;
+        let dy = store.y[i] - est.y;
+        vx += w * dx * dx;
+        vy += w * dy * dy;
+        sin_sum += w * (store.sin[i] * ce - store.cos[i] * se);
+        cos_sum += w * (store.cos[i] * ce + store.sin[i] * se);
     }
-}
-
-/// Draws one pose uniformly over free space: a random free cell, a
-/// uniform jitter within it, and a uniform heading — in that RNG order.
-fn draw_free_pose(grid: &OccupancyGrid, free: &[GridIndex], rng: &mut Rng64) -> Pose2 {
-    let c = grid.index_to_world(free[rng.uniform_usize(free.len())]);
-    let jitter = grid.resolution() * 0.5;
-    Pose2::new(
-        c.x + rng.uniform_range(-jitter, jitter),
-        c.y + rng.uniform_range(-jitter, jitter),
-        rng.uniform_range(-std::f64::consts::PI, std::f64::consts::PI),
-    )
+    let r = sin_sum.hypot(cos_sum).clamp(0.0, 1.0);
+    (vx, vy, 1.0 - r)
 }
 
 impl SynPf<Arc<MapArtifacts>> {
@@ -319,11 +267,8 @@ impl SynPf<Arc<MapArtifacts>> {
     /// Enables augmented-MCL recovery using the bundle's own grid (see
     /// [`SynPf::enable_recovery`]).
     pub fn enable_recovery_from_artifacts(&mut self) {
-        let grid = self.shared.caster.grid().clone();
-        if self.config.recovery.is_none() {
-            self.config.recovery = Some(RecoveryConfig::default());
-        }
-        self.recovery_map = Some(RecoveryMap::new(grid));
+        let shared = Arc::clone(&self.shared);
+        self.enable_recovery(shared.caster.grid());
     }
 }
 
@@ -346,9 +291,7 @@ impl<M: RangeMethod + 'static> SynPf<M> {
             rng,
             last_odom: None,
             estimate: Pose2::IDENTITY,
-            recovery_map: None,
-            w_slow: 0.0,
-            w_fast: 0.0,
+            recovery: Recovery::new(config.health),
             log_w: Vec::new(),
             beam_sel: Vec::new(),
             beam_key: None,
@@ -363,15 +306,6 @@ impl<M: RangeMethod + 'static> SynPf<M> {
             tel: Telemetry::disabled(),
             motion_accum_seconds: 0.0,
             last_stages: Vec::new(),
-            health_monitor: raceloc_core::HealthMonitor::new(
-                config.health.map(|h| h.monitor).unwrap_or_default(),
-            ),
-            lw_mean: 0.0,
-            lw_var: 0.0,
-            health_w_slow: 0.0,
-            health_w_fast: 0.0,
-            health_steps: 0,
-            reinit_holdoff: 0,
             deadline: config.deadline.map(DeadlineController::new),
             pressure_factor: 1.0,
             last_plan: None,
@@ -398,94 +332,27 @@ impl<M: RangeMethod + 'static> SynPf<M> {
     /// short-term average collapses (`w_fast ≪ w_slow`), injects uniformly
     /// drawn free-space particles during resampling.
     ///
-    /// The map is cloned, and its free cells listed, to sample the random
-    /// poses from; the recovery rates come from [`SynPfConfig::recovery`]
-    /// (defaults are applied when it is `None`).
+    /// The world centres of the grid's free cells are listed once to
+    /// sample the random poses from; the recovery rates come from
+    /// [`SynPfConfig::recovery`] (defaults are applied when it is `None`).
     pub fn enable_recovery(&mut self, grid: &OccupancyGrid) {
-        if self.config.recovery.is_none() {
-            self.config.recovery = Some(RecoveryConfig::default());
-        }
-        self.recovery_map = Some(RecoveryMap::new(grid.clone()));
+        let rates = self.config.recovery.unwrap_or_default();
+        self.config.recovery = Some(rates);
+        self.recovery.arm(rates, FreeSpace::new(grid));
     }
 
     /// The current recovery likelihood ratio `w_fast / w_slow` (≥1 means
     /// healthy); `None` until enough updates have run or when recovery is
     /// disabled.
     pub fn recovery_health(&self) -> Option<f64> {
-        if self.recovery_map.is_some() && self.w_slow > 1e-300 {
-            Some(self.w_fast / self.w_slow)
-        } else {
-            None
-        }
-    }
-
-    /// Feeds one mean raw likelihood observation into the w_slow/w_fast
-    /// EMAs and returns the random-injection probability for this update.
-    fn update_recovery(&mut self, mean_likelihood: f64) -> f64 {
-        let Some(cfg) = self.config.recovery else {
-            return 0.0;
-        };
-        if self.recovery_map.is_none() {
-            return 0.0;
-        }
-        if self.w_slow == 0.0 {
-            self.w_slow = mean_likelihood;
-            self.w_fast = mean_likelihood;
-            return 0.0;
-        }
-        self.w_slow += cfg.alpha_slow * (mean_likelihood - self.w_slow);
-        self.w_fast += cfg.alpha_fast * (mean_likelihood - self.w_fast);
-        if self.w_slow > 1e-300 {
-            (1.0 - self.w_fast / self.w_slow).max(0.0)
-        } else {
-            0.0
-        }
-    }
-
-    /// Replaces a random subset of particles with uniform free-space draws.
-    fn inject_random_particles(&mut self, fraction: f64) {
-        if fraction <= 0.0 {
-            return;
-        }
-        let Some(map) = &self.recovery_map else {
-            return;
-        };
-        if map.free.is_empty() {
-            return;
-        }
-        let n = self.store.len();
-        let count = ((n as f64 * fraction).round() as usize).min(n);
-        for _ in 0..count {
-            let slot = self.rng.uniform_usize(n);
-            let pose = draw_free_pose(&map.grid, &map.free, &mut self.rng);
-            self.store.set_pose(slot, pose);
-        }
+        self.recovery.likelihood_ratio()
     }
 
     /// Weighted covariance of the particle cloud around the current
     /// estimate, as `(var_x, var_y, circular_var_theta)` — a confidence
     /// diagnostic for downstream consumers (planners typically gate on it).
     pub fn covariance(&self) -> (f64, f64, f64) {
-        let est = self.estimate;
-        let (se, ce) = est.theta.sin_cos();
-        let mut vx = 0.0;
-        let mut vy = 0.0;
-        let mut sin_sum = 0.0;
-        let mut cos_sum = 0.0;
-        // Lane streaming pass; sin/cos of (θ − est.θ) come from the
-        // maintained trig lanes via the angle-subtraction identities, so
-        // the reduction is transcendental-free.
-        for i in 0..self.store.len() {
-            let w = self.weights[i];
-            let dx = self.store.x[i] - est.x;
-            let dy = self.store.y[i] - est.y;
-            vx += w * dx * dx;
-            vy += w * dy * dy;
-            sin_sum += w * (self.store.sin[i] * ce - self.store.cos[i] * se);
-            cos_sum += w * (self.store.cos[i] * ce + self.store.sin[i] * se);
-        }
-        let r = sin_sum.hypot(cos_sum).clamp(0.0, 1.0);
-        (vx, vy, 1.0 - r)
+        covariance(&self.store, &self.weights, self.estimate)
     }
 
     /// The configuration.
@@ -513,21 +380,9 @@ impl<M: RangeMethod + 'static> SynPf<M> {
     /// Scatters particles uniformly over the free cells of a grid (global
     /// localization / kidnapped-robot initialization).
     pub fn global_init(&mut self, grid: &OccupancyGrid) {
-        self.scatter(grid, &free_cells(grid));
-    }
-
-    /// [`SynPf::global_init`] over a precomputed free-cell list of `grid`.
-    fn scatter(&mut self, grid: &OccupancyGrid, free: &[GridIndex]) {
-        if free.is_empty() {
-            return;
+        if FreeSpace::new(grid).scatter(&mut self.store, &mut self.weights, &mut self.rng) {
+            self.last_odom = None;
         }
-        for i in 0..self.store.len() {
-            let pose = draw_free_pose(grid, free, &mut self.rng);
-            self.store.set_pose(i, pose);
-        }
-        let u = 1.0 / self.store.len() as f64;
-        self.weights.fill(u);
-        self.last_odom = None;
     }
 
     /// The weighted-mean pose of the particle set (circular mean heading).
@@ -667,7 +522,7 @@ impl<M: RangeMethod + 'static> SynPf<M> {
     /// particle count when KLD is disabled — both pure functions of the
     /// configuration and the step history, never of wall-clock time.
     fn plan_deadline(&mut self, beams: u64) -> Option<StepPlan> {
-        let health = self.health_monitor.state();
+        let health = self.recovery.health();
         let base = match &self.config.kld {
             Some(kld) => kld.max_particles,
             None => self.store.len(),
@@ -727,16 +582,6 @@ impl<M: RangeMethod + 'static> SynPf<M> {
             .push((Cow::Borrowed("resample"), resample_seconds));
     }
 
-    /// Books a correction that carried no measurement information (empty,
-    /// fully dropped-out, or stale scan) into the health machine: the
-    /// filter holds and coasts on dead-reckoning, which is at best a
-    /// Degraded condition.
-    fn note_uninformative_scan(&mut self) {
-        if self.config.health.is_some() {
-            self.health_monitor.observe(HealthSignal::Suspect);
-        }
-    }
-
     /// Whether the scan is too old relative to the newest odometry to be
     /// corrected against (stale-input rejection, DESIGN.md §12).
     fn scan_is_stale(&self, scan: &LaserScan) -> bool {
@@ -749,132 +594,28 @@ impl<M: RangeMethod + 'static> SynPf<M> {
         }
     }
 
-    /// Feeds one mean-log-likelihood observation into the EMA tracker.
-    fn observe_likelihood(&mut self, policy: crate::health::HealthPolicy, mean_lw: f64) {
-        if self.health_steps == 0 {
-            self.lw_mean = mean_lw;
-            self.lw_var = 0.0;
-        } else {
-            let d = mean_lw - self.lw_mean;
-            self.lw_mean += policy.ema_alpha * d;
-            self.lw_var += policy.ema_alpha * (d * d - self.lw_var);
-        }
-        self.health_steps = self.health_steps.saturating_add(1);
-    }
-
-    /// Feeds one mean raw-likelihood observation into the detector's own
-    /// fast/slow EMA pair and returns the current `fast / slow` ratio.
-    fn observe_ratio(&mut self, policy: crate::health::HealthPolicy, mean_lik: f64) -> Option<f64> {
-        if self.health_w_slow == 0.0 {
-            self.health_w_slow = mean_lik;
-            self.health_w_fast = mean_lik;
-            return None;
-        }
-        self.health_w_slow += policy.ratio_alpha_slow * (mean_lik - self.health_w_slow);
-        self.health_w_fast += policy.ratio_alpha_fast * (mean_lik - self.health_w_fast);
-        (self.health_w_slow > 1e-300).then(|| self.health_w_fast / self.health_w_slow)
-    }
-
-    /// Reduces one correction to a coarse health signal: likelihood
-    /// z-score, pre-resample ESS fraction, covariance trace, and the
-    /// augmented-MCL likelihood ratio, each voting Suspect or Diverged.
-    fn detector_signal(
-        &mut self,
-        policy: crate::health::HealthPolicy,
-        mean_lw: f64,
-        mean_lik: f64,
-    ) -> HealthSignal {
-        let warmed = self.health_steps >= policy.warmup_steps;
-        let z = warmed.then(|| {
-            let sigma = self.lw_var.max(0.0).sqrt().max(policy.z_sigma_floor);
-            (mean_lw - self.lw_mean) / sigma
-        });
-        self.observe_likelihood(policy, mean_lw);
-        let ratio = self.observe_ratio(policy, mean_lik);
-        if !warmed {
-            return HealthSignal::Ok;
-        }
-        let mut diverged = false;
-        let mut suspect = false;
-        if let Some(z) = z {
-            if z < -policy.z_lost {
-                diverged = true;
-            } else if z < -policy.z_suspect {
-                suspect = true;
-            }
-        }
-        if let Some(ratio) = ratio {
-            if ratio < policy.ratio_lost {
-                diverged = true;
-            }
-        }
-        let (vx, vy, _) = self.covariance();
-        let cov = vx + vy;
-        if cov > policy.cov_suspect_m2 {
-            // Never a Diverged vote: a dispersed cloud with a healthy
-            // likelihood is augmented-MCL injection mid-recovery, and
-            // declaring Lost here would re-scatter a filter that is
-            // about to converge. Divergence proper is evidenced by the
-            // likelihood detectors above.
-            suspect = true;
-        }
-        let n = self.store.len().max(1) as f64;
-        if effective_sample_size(&self.weights) / n < policy.ess_suspect_frac {
-            suspect = true;
-        }
-        if diverged {
-            HealthSignal::Diverged
-        } else if suspect {
-            HealthSignal::Suspect
-        } else {
-            HealthSignal::Ok
-        }
-    }
-
-    /// Runs the divergence detectors and the Lost → global re-init
-    /// degraded behavior. Called once per informative correction, after
-    /// normalization and before resampling; a no-op when
-    /// [`SynPfConfig::health`] is `None`.
+    /// Runs the health detectors; on their re-init, re-draws the cloud over
+    /// free space (as `global_init` does) and holds the ladder: no climbing
+    /// into an expensive rung while the re-scattered cloud re-converges.
     fn update_health(&mut self, mean_lw: f64, mean_lik: f64) {
-        let Some(policy) = self.config.health else {
+        let (store, weights, est) = (&self.store, &self.weights, self.estimate);
+        let spread = || {
+            let (vx, vy, _) = covariance(store, weights, est);
+            (
+                vx + vy,
+                effective_sample_size(weights) / store.len().max(1) as f64,
+            )
+        };
+        let Some(free) = self.recovery.assess(mean_lw, mean_lik, spread) else {
             return;
         };
-        if self.reinit_holdoff > 0 {
-            // A freshly scattered cloud legitimately has a huge covariance
-            // and an unsettled likelihood level: keep learning the EMAs
-            // but let the machine sit in Recovering undisturbed.
-            self.reinit_holdoff -= 1;
-            self.observe_likelihood(policy, mean_lw);
-            self.observe_ratio(policy, mean_lik);
-            return;
+        if free.scatter(&mut self.store, &mut self.weights, &mut self.rng) {
+            self.last_odom = None;
         }
-        let signal = self.detector_signal(policy, mean_lw, mean_lik);
-        let state = self.health_monitor.observe(signal);
-        if state == Health::Lost && policy.auto_reinit {
-            let Some(map) = self.recovery_map.take() else {
-                return;
-            };
-            // Uniform reseed over free space: the same machinery as
-            // kidnapped-robot initialization, plus a detector holdoff and
-            // fresh likelihood statistics for the new cloud.
-            self.scatter(&map.grid, &map.free);
-            self.recovery_map = Some(map);
-            self.health_monitor.notify_reinit();
-            // The ladder mirrors the health holdoff: no climbing into an
-            // expensive rung while the re-scattered cloud re-converges.
-            if let Some(ctl) = &mut self.deadline {
-                ctl.notify_reinit();
-            }
-            self.reinit_holdoff = policy.reinit_holdoff;
-            self.w_slow = 0.0;
-            self.w_fast = 0.0;
-            self.lw_mean = 0.0;
-            self.lw_var = 0.0;
-            self.health_w_slow = 0.0;
-            self.health_w_fast = 0.0;
-            self.health_steps = 0;
-            self.tel.add(names::PF_HEALTH_REINIT, 1);
+        if let Some(ctl) = &mut self.deadline {
+            ctl.notify_reinit();
         }
+        self.tel.add(names::PF_HEALTH_REINIT, 1);
     }
 }
 
@@ -952,17 +693,18 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
         // Stale-input rejection (DESIGN.md §12): correcting against a scan
         // older than the odometry horizon would drag the cloud backwards.
         if self.scan_is_stale(scan) {
-            self.note_uninformative_scan();
+            self.recovery.note_unscored();
             return self.estimate;
         }
         self.select_beams(scan);
         if self.beam_sel.is_empty() {
             return self.estimate;
         }
-        // Hold-and-coast: a scan whose selected beams are all dropped or
-        // saturated (e.g. a lidar blackout) carries no information —
-        // scoring it would weight every particle equally and poison the
-        // recovery EMAs, so the filter coasts on dead-reckoning instead.
+        // Hold: a scan whose selected beams are all dropped or saturated
+        // (e.g. a lidar blackout) carries no information — scoring it would
+        // weight every particle equally and poison the recovery EMAs, so
+        // the filter returns its last scored estimate instead while
+        // `predict` keeps moving the particles (ROADMAP item 2).
         let cutoff = scan.max_range - 1e-9;
         let usable = self
             .beam_sel
@@ -973,7 +715,7 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
             })
             .count();
         if usable == 0 {
-            self.note_uninformative_scan();
+            self.recovery.note_unscored();
             return self.estimate;
         }
         // Deadline plan (DESIGN.md §14): pick this correction's
@@ -982,10 +724,11 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
         // sequence is bit-identical for any thread count.
         let plan = self.plan_deadline(self.beam_sel.len() as u64);
         if plan.is_some_and(|p| p.coast) {
-            // Bottom rung: shed the correction entirely and coast on the
-            // motion estimate — a deliberate, bounded hold, booked to the
-            // health machine like any other uninformative correction.
-            self.note_uninformative_scan();
+            // Bottom rung: shed the correction entirely and return the last
+            // scored estimate (ROADMAP item 2) — a deliberate, bounded hold,
+            // booked to the health machine like any other uninformative
+            // correction.
+            self.recovery.note_unscored();
             return self.estimate;
         }
         let (stride, quantum) = match plan {
@@ -1109,14 +852,14 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
         } else {
             (0.0, 0.0)
         };
-        let inject = self.update_recovery(mean_lik);
+        let inject = self.recovery.injection(mean_lik);
         normalize(&mut self.weights);
         self.estimate = self.expected_pose();
         self.update_health(mean_lw, mean_lik);
         let sensor_seconds = sensor_started.elapsed_seconds();
         let resample_started = Stopwatch::start();
         self.resample_if_needed();
-        self.inject_random_particles(inject);
+        self.recovery.inject(inject, &mut self.store, &mut self.rng);
         let resample_seconds = resample_started.elapsed_seconds();
         self.finish_correction(
             motion_seconds,
@@ -1146,18 +889,10 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
         self.weights.fill(u);
         self.estimate = pose;
         self.last_odom = None;
-        self.w_slow = 0.0;
-        self.w_fast = 0.0;
+        self.recovery.reset();
         self.motion_epoch = 0;
         self.motion_accum_seconds = 0.0;
         self.last_stages.clear();
-        self.health_monitor.reset();
-        self.lw_mean = 0.0;
-        self.lw_var = 0.0;
-        self.health_w_slow = 0.0;
-        self.health_w_fast = 0.0;
-        self.health_steps = 0;
-        self.reinit_holdoff = 0;
         if let Some(ctl) = &mut self.deadline {
             ctl.reset();
         }
@@ -1170,7 +905,7 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
     }
 
     fn health(&self) -> Health {
-        self.health_monitor.state()
+        self.recovery.health()
     }
 
     fn set_compute_pressure(&mut self, factor: f64) {
@@ -1184,11 +919,7 @@ impl<M: RangeMethod + 'static> Localizer for SynPf<M> {
             ess: Some(self.ess()),
             covariance_trace: Some(vx + vy),
             match_score: self.recovery_health(),
-            health: self
-                .config
-                .health
-                .is_some()
-                .then(|| self.health_monitor.state()),
+            health: self.config.health.is_some().then(|| self.recovery.health()),
             stages: self.last_stages.clone(),
         }
     }
@@ -1208,9 +939,7 @@ impl<M: RangeMethod + 'static> Clone for SynPf<M> {
             rng: self.rng.clone(),
             last_odom: self.last_odom,
             estimate: self.estimate,
-            recovery_map: self.recovery_map.clone(),
-            w_slow: self.w_slow,
-            w_fast: self.w_fast,
+            recovery: self.recovery.clone(),
             log_w: Vec::new(),
             beam_sel: self.beam_sel.clone(),
             beam_key: self.beam_key,
@@ -1225,13 +954,6 @@ impl<M: RangeMethod + 'static> Clone for SynPf<M> {
             tel: self.tel.clone(),
             motion_accum_seconds: self.motion_accum_seconds,
             last_stages: self.last_stages.clone(),
-            health_monitor: self.health_monitor.clone(),
-            lw_mean: self.lw_mean,
-            lw_var: self.lw_var,
-            health_w_slow: self.health_w_slow,
-            health_w_fast: self.health_w_fast,
-            health_steps: self.health_steps,
-            reinit_holdoff: self.reinit_holdoff,
             deadline: self.deadline.clone(),
             pressure_factor: self.pressure_factor,
             last_plan: self.last_plan,
@@ -1243,7 +965,7 @@ impl<M: RangeMethod + 'static> Clone for SynPf<M> {
 mod tests {
     use super::*;
     use raceloc_core::Twist2;
-    use raceloc_map::{Track, TrackShape, TrackSpec};
+    use raceloc_map::{CellState, Track, TrackShape, TrackSpec};
     use raceloc_range::RayMarching;
 
     fn track() -> Track {
@@ -1715,20 +1437,19 @@ mod health_tests {
         pf
     }
 
-    #[test]
-    fn kidnap_reaches_lost_then_reinit_recovers_to_nominal() {
-        let t = track();
-        // Near-inert augmented-MCL rates: random injection stays negligible,
-        // so recovery must come from the health machine's Lost → global
-        // re-init path rather than from particle injection.
+    /// The kidnap filter: near-inert augmented-MCL rates keep random
+    /// injection negligible, so recovery must come from the health
+    /// machine's Lost → global re-init path rather than from injection.
+    fn kidnap_pf(t: &Track) -> SynPf<RayMarching> {
         let caster = RayMarching::new(&t.grid, 10.0);
         let mut pf = SynPf::new(
             caster,
             SynPfConfig {
                 particles: 1500,
                 // Which along-track mode the zero-motion re-init locks onto
-                // is realization-dependent (see the bound below); this seed
-                // pins a realization that locks onto the true one.
+                // is realization-dependent (see the bound in the kidnap
+                // test); this seed pins a realization that locks onto the
+                // true one.
                 seed: 2,
                 recovery: Some(RecoveryConfig {
                     alpha_slow: 0.001,
@@ -1742,6 +1463,20 @@ mod health_tests {
             },
         );
         pf.enable_recovery(&t.grid);
+        pf
+    }
+
+    /// The far side of the track, where the kidnap scans come from.
+    fn far_side(t: &Track) -> Pose2 {
+        let s = 0.5 * t.raceline.total_length();
+        let p = t.raceline.point_at(s);
+        Pose2::new(p.x, p.y, t.raceline.heading_at(s))
+    }
+
+    #[test]
+    fn kidnap_reaches_lost_then_reinit_recovers_to_nominal() {
+        let t = track();
+        let mut pf = kidnap_pf(&t);
         let tel = raceloc_obs::Telemetry::enabled();
         pf.set_telemetry(tel.clone());
         let home = t.start_pose();
@@ -1758,9 +1493,7 @@ mod health_tests {
         }
         assert_eq!(pf.health(), Health::Nominal);
         // Kidnap: scans now come from the other side of the track.
-        let s = 0.5 * t.raceline.total_length();
-        let p = t.raceline.point_at(s);
-        let there = Pose2::new(p.x, p.y, t.raceline.heading_at(s));
+        let there = far_side(&t);
         let there_scan = scan_from(&t, there, pf.config().lidar_mount);
         let mut est = pf.pose();
         let mut saw_non_nominal = false;
@@ -1791,6 +1524,56 @@ mod health_tests {
             est.dist(there) < 0.9,
             "did not recover from kidnapping: {est} vs {there}"
         );
+    }
+
+    #[test]
+    fn clone_in_the_reinit_holdoff_steps_bitwise_like_the_original() {
+        let t = track();
+        let mut pf = kidnap_pf(&t);
+        let tel = raceloc_obs::Telemetry::enabled();
+        pf.set_telemetry(tel.clone());
+        let home = t.start_pose();
+        pf.reset(home);
+        let home_scan = scan_from(&t, home, pf.config().lidar_mount);
+        let there_scan = scan_from(&t, far_side(&t), pf.config().lidar_mount);
+        let odom = |i: usize| Odometry::new(Pose2::IDENTITY, Twist2::ZERO, i as f64 * 0.02);
+        for i in 0..30 {
+            pf.predict(&odom(i));
+            pf.correct(&stamped(&home_scan, i as f64 * 0.02));
+        }
+        let reinits = || {
+            tel.snapshot()
+                .counter(names::PF_HEALTH_REINIT.as_str())
+                .unwrap_or(0)
+        };
+        let mut i = 30;
+        let mut since_reinit = 0;
+        // Five corrections into the 60-correction holdoff, so the restarted
+        // trackers hold fresh values: clone, then step both past it.
+        while since_reinit < 5 {
+            assert!(i < 280, "Lost never triggered a global re-init");
+            pf.predict(&odom(i));
+            pf.correct(&stamped(&there_scan, i as f64 * 0.02));
+            i += 1;
+            since_reinit += usize::from(reinits() > 0);
+        }
+        assert_eq!(pf.health(), Health::Recovering);
+        let mut twin = pf.clone();
+        for i in i..i + 80 {
+            let scan = stamped(&there_scan, i as f64 * 0.02);
+            pf.predict(&odom(i));
+            twin.predict(&odom(i));
+            let (a, b) = (pf.correct(&scan), twin.correct(&scan));
+            assert_eq!(
+                a.to_array().map(f64::to_bits),
+                b.to_array().map(f64::to_bits)
+            );
+            assert_eq!(pf.health(), twin.health(), "health at step {i}");
+            assert_eq!(
+                pf.recovery_health().map(f64::to_bits),
+                twin.recovery_health().map(f64::to_bits)
+            );
+        }
     }
 
     #[test]

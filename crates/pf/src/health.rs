@@ -64,8 +64,8 @@ pub struct HealthPolicy {
     /// nominal likelihood level first).
     pub warmup_steps: u32,
     /// Scans older than this relative to the latest odometry \[s\] are
-    /// rejected (stale-input rejection) and the step coasts on
-    /// dead-reckoning instead.
+    /// rejected (stale-input rejection): the step returns the last scored
+    /// estimate while `predict` keeps moving the particles (ROADMAP item 2).
     pub max_scan_age: f64,
     /// Re-initialize globally over free space when Lost is entered
     /// (requires the recovery map from

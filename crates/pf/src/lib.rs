@@ -55,15 +55,17 @@ pub mod kld;
 pub mod layout;
 pub mod motion;
 mod parstep;
+mod recovery;
 pub mod resample;
 pub mod sensor;
 pub mod store;
 
 pub use config::{ConfigError, RecoveryConfigBuilder, SynPfConfigBuilder};
-pub use filter::{MotionConfig, RecoveryConfig, SynPf, SynPfConfig};
+pub use filter::{MotionConfig, SynPf, SynPfConfig};
 pub use health::HealthPolicy;
 pub use kld::KldConfig;
 pub use layout::ScanLayout;
 pub use motion::{CloudDispersion, DiffDriveModel, MotionModel, TumMotionModel};
+pub use recovery::RecoveryConfig;
 pub use sensor::{BeamModelConfig, BeamSensorModel};
 pub use store::ParticleStore;

@@ -2,7 +2,7 @@
 //! [`raceloc_par::WorkerPool`] instead of spawning scoped threads per call.
 //!
 //! [`PooledCaster`] owns its inner method behind an `Arc` (workers hold the
-//! other reference) and keeps a set of reusable [`CastJob`] buffers, so the
+//! other reference) and keeps a set of reusable `CastJob` buffers, so the
 //! steady-state batch path performs **zero heap allocations and zero thread
 //! spawns** — the property the fused particle pipeline (DESIGN.md §11)
 //! builds on. The chunk layout is the same deterministic function used by
